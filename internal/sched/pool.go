@@ -46,49 +46,6 @@ type Options struct {
 	Progress func(done, total int)
 }
 
-// progress counts completed units and fans the count out to an optional
-// callback. A nil *progress is inert, so call sites need not branch.
-type progress struct {
-	mu    sync.Mutex
-	done  int
-	total int
-	fn    func(done, total int)
-}
-
-// newProgress returns a tracker for total units, or nil when there is no
-// callback to feed.
-func newProgress(fn func(done, total int), total int) *progress {
-	if fn == nil {
-		return nil
-	}
-	return &progress{total: total, fn: fn}
-}
-
-// unit records one completed unit and reports the new count.
-func (p *progress) unit() {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.done++
-	done, total := p.done, p.total
-	p.mu.Unlock()
-	p.fn(done, total)
-}
-
-// finish reports the tracker as fully complete (used when a cached result
-// short-circuits the remaining units).
-func (p *progress) finish() {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.done = p.total
-	done, total := p.done, p.total
-	p.mu.Unlock()
-	p.fn(done, total)
-}
-
 // executor resolves the effective unit executor.
 func (o Options) executor() Executor {
 	if o.Executor != nil {

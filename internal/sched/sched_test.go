@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
 	"barrierpoint/internal/apps"
 	"barrierpoint/internal/core"
 	"barrierpoint/internal/isa"
+	"barrierpoint/internal/obs"
 	"barrierpoint/internal/resultcache"
 	"barrierpoint/internal/trace"
 )
@@ -169,9 +171,9 @@ func TestFanOutOrderIndependence(t *testing.T) {
 	}
 }
 
-// TestFanOutRealErrorBeatsCollateralCancellation reproduces sched.Run's
-// nested shape: a long-running unit 0 that reports context.Canceled once
-// a sibling fails must not mask the sibling's real error, even though it
+// TestFanOutRealErrorBeatsCollateralCancellation covers a nested
+// fan-out: a long-running unit 0 that reports context.Canceled once a
+// sibling fails must not mask the sibling's real error, even though it
 // has the lower index.
 func TestFanOutRealErrorBeatsCollateralCancellation(t *testing.T) {
 	boom := errors.New("collection failed")
@@ -231,6 +233,70 @@ func TestRunCachedStudyReportsFullProgress(t *testing.T) {
 	total := StudyUnits(req.Config)
 	if len(reports) != 1 || reports[0] != [2]int{total, total} {
 		t.Errorf("cached study should report one %d/%d, got %v", total, total, reports)
+	}
+}
+
+// TestRunCachedStudyMarksSpan: a whole-study cache hit through Run tags
+// the caller's span with study_cache=hit and reports progress exactly
+// once, as total/total.
+func TestRunCachedStudyMarksSpan(t *testing.T) {
+	req := testRequest(t)
+	cache := resultcache.New(128)
+	if _, err := Run(context.Background(), req, Options{Workers: 2, Cache: cache}); err != nil {
+		t.Fatal(err)
+	}
+	jt := obs.NewJobTrace("cached", 64)
+	root := jt.Root("study")
+	var reports [][2]int
+	_, err := Run(obs.ContextWithSpan(context.Background(), root), req, Options{Workers: 2, Cache: cache,
+		Progress: func(done, total int) { reports = append(reports, [2]int{done, total}) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	total := StudyUnits(req.Config)
+	if len(reports) != 1 || reports[0] != [2]int{total, total} {
+		t.Errorf("cached study should report one %d/%d, got %v", total, total, reports)
+	}
+	tree := jt.Tree()
+	if len(tree.Spans) != 1 || tree.Spans[0].Attrs["study_cache"] != "hit" {
+		t.Fatalf("caller's span should carry study_cache=hit: %+v", tree.Spans)
+	}
+	for _, c := range tree.Spans[0].Children {
+		if strings.HasPrefix(c.Name, "unit:") {
+			t.Errorf("cached study executed %s", c.Name)
+		}
+	}
+}
+
+// TestRunTraceShape: a standalone study's direct children under the
+// caller's span are the plan span and one span per executed unit —
+// no stage or wrapper spans in between.
+func TestRunTraceShape(t *testing.T) {
+	req := testRequest(t)
+	jt := obs.NewJobTrace("shape", 256)
+	root := jt.Root("study")
+	if _, err := Run(obs.ContextWithSpan(context.Background(), root), req, Options{Workers: 2}); err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	tree := jt.Tree()
+	if len(tree.Spans) != 1 {
+		t.Fatalf("want one root span, got %d", len(tree.Spans))
+	}
+	plans, units := 0, 0
+	for _, c := range tree.Spans[0].Children {
+		switch {
+		case c.Name == "plan":
+			plans++
+		case strings.HasPrefix(c.Name, "unit:"):
+			units++
+		default:
+			t.Errorf("unexpected direct child %q of the study span", c.Name)
+		}
+	}
+	if plans != 1 || units != StudyUnits(req.Config) {
+		t.Errorf("study children: %d plan, %d unit spans; want 1 and %d", plans, units, StudyUnits(req.Config))
 	}
 }
 

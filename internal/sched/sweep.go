@@ -89,16 +89,19 @@ type plannedUnit struct {
 }
 
 // sweepStudy is one member study's assembly state: artifact slots filled
-// by completing units, in unit order, exactly as Run fills them.
+// by completing units, each at its unit's index, so assembly does not
+// depend on completion order. A discoverOnly member (Discover) plans and
+// fills just the discovery runs and assembles no StudyResult.
 type sweepStudy struct {
-	idx     int
-	app     string
-	build   core.ProgramBuilder
-	cfg     core.StudyConfig
-	discCfg core.DiscoveryConfig
-	colCfgs [2]core.CollectConfig
-	key     resultcache.Key
-	cached  *core.StudyResult
+	idx          int
+	app          string
+	build        core.ProgramBuilder
+	cfg          core.StudyConfig
+	discCfg      core.DiscoveryConfig
+	colCfgs      [2]core.CollectConfig
+	key          resultcache.Key
+	cached       *core.StudyResult
+	discoverOnly bool
 
 	mu        sync.Mutex
 	sets      []core.BarrierPointSet
@@ -129,13 +132,14 @@ type SweepPlan struct {
 }
 
 // CompileSweep plans a whole sweep of studies as one global unit DAG
-// before any execution: every member decomposes into the same typed
-// UnitRequests Run issues, units are deduplicated across members by their
-// content-addressed keys, discovery runs shared between different run
-// counts are subsumed into the superset, and members already answered by
-// opts.Cache are marked cached and plan nothing. The DAG preserves each
-// member's assembly order, so Execute renders every member byte-identical
-// to serial one-at-a-time Run calls against the same Options.
+// before any execution (Run is the one-member case): every member
+// decomposes into typed UnitRequests, units are deduplicated across
+// members by their content-addressed keys, discovery runs shared between
+// different run counts are subsumed into the superset, and members
+// already answered by opts.Cache are marked cached and plan nothing. The
+// DAG preserves each member's assembly order, so Execute renders every
+// member byte-identical to serial one-at-a-time Run calls against the
+// same Options.
 //
 // Program fingerprints are memoised per (app, threads, variant) across
 // the sweep, mirroring LocalExecutor's wire-path memo — builders must be
@@ -208,15 +212,11 @@ func CompileSweep(ctx context.Context, reqs []StudyRequest, opts Options) (*Swee
 	return p, nil
 }
 
-// planStudy appends one member's units to the DAG: the canonical baseline
-// run, both native collections, the jittered runs (behind the baseline),
-// and the per-set validations (behind their run and both collections) —
-// the exact decomposition Run executes.
+// planStudy appends one member's units to the DAG: the discovery runs,
+// both native collections, and the per-set validations (behind their run
+// and both collections).
 func (p *SweepPlan) planStudy(st *sweepStudy, fpX86, fpARM string) error {
-	baseline, err := p.addUnit(st, 0, UnitRequest{
-		Kind: UnitDiscoverBaseline, App: st.app, FP: fpX86,
-		Discovery: &st.discCfg, Build: st.build,
-	}, nil)
+	disc, err := p.planDiscovery(st, fpX86)
 	if err != nil {
 		return err
 	}
@@ -234,19 +234,7 @@ func (p *SweepPlan) planStudy(st *sweepStudy, fpX86, fpARM string) error {
 	if err != nil {
 		return err
 	}
-	disc := make([]*plannedUnit, st.cfg.Runs)
-	disc[0] = baseline
-	for run := 1; run < st.cfg.Runs; run++ {
-		u, err := p.addUnit(st, run, UnitRequest{
-			Kind: UnitDiscoverJittered, App: st.app, FP: fpX86,
-			Discovery: &st.discCfg, Run: run, Build: st.build,
-		}, []*plannedUnit{baseline})
-		if err != nil {
-			return err
-		}
-		disc[run] = u
-	}
-	for run := 0; run < st.cfg.Runs; run++ {
+	for run := range disc {
 		if _, err := p.addUnit(st, run, UnitRequest{
 			Kind: UnitValidate, App: st.app, FP: fpX86, FPARM: fpARM,
 			Discovery: &st.discCfg, Run: run, Collections: &st.colCfgs,
@@ -256,6 +244,31 @@ func (p *SweepPlan) planStudy(st *sweepStudy, fpX86, fpARM string) error {
 		}
 	}
 	return nil
+}
+
+// planDiscovery appends one member's discovery units — the canonical
+// baseline run, then the jittered runs behind it — and returns them in
+// run order. The baseline is planned first so it is the first unit
+// released: every jittered run waits on it.
+func (p *SweepPlan) planDiscovery(st *sweepStudy, fpX86 string) ([]*plannedUnit, error) {
+	disc := make([]*plannedUnit, len(st.sets))
+	for run := range disc {
+		req := UnitRequest{
+			Kind: UnitDiscoverBaseline, App: st.app, FP: fpX86,
+			Discovery: &st.discCfg, Build: st.build,
+		}
+		var deps []*plannedUnit
+		if run > 0 {
+			req.Kind, req.Run = UnitDiscoverJittered, run
+			deps = []*plannedUnit{disc[0]}
+		}
+		u, err := p.addUnit(st, run, req, deps)
+		if err != nil {
+			return nil, err
+		}
+		disc[run] = u
+	}
+	return disc, nil
 }
 
 // addUnit requests one unit for st, merging with an already-planned unit
@@ -558,7 +571,10 @@ func (p *SweepPlan) deliver(st *sweepStudy, slot int, kind UnitKind, v any) {
 	if p.sopts.Progress != nil {
 		p.sopts.Progress(st.idx, done, total)
 	}
-	if assemble {
+	switch {
+	case assemble && st.discoverOnly:
+		p.finalizeStudy(st, nil, nil)
+	case assemble:
 		res := core.AssembleStudy(st.app, st.cfg, st.evals, st.cols[0], st.cols[1])
 		if p.opts.Cache != nil {
 			p.opts.Cache.Put(st.key, res)
@@ -568,8 +584,8 @@ func (p *SweepPlan) deliver(st *sweepStudy, slot int, kind UnitKind, v any) {
 }
 
 // finalizeStudy records one member's outcome exactly once and streams it
-// through OnStudy. A cached member reports full progress first, matching
-// Run's whole-study cache hit.
+// through OnStudy. A member finalised without running its units (a
+// whole-study cache hit) reports total/total progress once first.
 func (p *SweepPlan) finalizeStudy(st *sweepStudy, res *core.StudyResult, err error) {
 	st.mu.Lock()
 	if st.finalized {
@@ -603,8 +619,8 @@ func dependencySet(dep *plannedUnit, app string) (*core.BarrierPointSet, error) 
 	return nil, fmt.Errorf("sched: discovery artifact for %s has type %T", app, dep.result)
 }
 
-// artifactError verifies a unit artifact's type, mirroring the checks
-// Run's execute helpers perform.
+// artifactError verifies a unit artifact's type: the one check between
+// an executor's untyped result and the typed slots it fills.
 func artifactError(kind UnitKind, v any) error {
 	switch kind {
 	case UnitDiscoverBaseline:
@@ -627,9 +643,8 @@ func artifactError(kind UnitKind, v any) error {
 	return nil
 }
 
-// wrapUnitError wraps a unit execution failure the way Run's per-stage
-// wrappers do, so member errors read the same under batch and serial
-// submission.
+// wrapUnitError names the study (and, for a collection, the platform) in
+// a unit execution failure, so a member's error says which step failed.
 func wrapUnitError(u *plannedUnit, err error) error {
 	switch u.req.Kind {
 	case UnitDiscoverBaseline, UnitDiscoverJittered:
