@@ -11,94 +11,6 @@ import (
 	"testing"
 )
 
-// TestGoldenEquivalenceStreamingVsDense is the gate on the streaming
-// signature pipeline: a full Quick-style study executed through the
-// refactored path (sparse pin.Stream views into the reusable
-// sigvec.Builder, generation-reset stack distances) must produce a
-// byte-identical study report — and a byte-identical gob of the entire
-// StudyResult — to the legacy dense path (full-array zeroing, allocating
-// sigvec.Build). Every float along the way feeds k-means seeding and
-// representative selection, so any arithmetic divergence, however small,
-// shows up here.
-func TestGoldenEquivalenceStreamingVsDense(t *testing.T) {
-	build := phasedBuilder(3, 10)
-	cfg := StudyConfig{Threads: 4, Runs: 3, Reps: 5, Seed: 2017}
-
-	run := func(legacy bool) (report, gobBytes []byte) {
-		t.Helper()
-		legacySignaturePath = legacy
-		defer func() { legacySignaturePath = false }()
-		res, err := RunStudy("golden", build, cfg)
-		if err != nil {
-			t.Fatalf("legacy=%v: %v", legacy, err)
-		}
-		var rep bytes.Buffer
-		if err := res.WriteJSON(&rep); err != nil {
-			t.Fatalf("legacy=%v: rendering report: %v", legacy, err)
-		}
-		var g bytes.Buffer
-		if err := gob.NewEncoder(&g).Encode(res); err != nil {
-			t.Fatalf("legacy=%v: gob: %v", legacy, err)
-		}
-		return rep.Bytes(), g.Bytes()
-	}
-
-	denseRep, denseGob := run(true)
-	streamRep, streamGob := run(false)
-
-	if !bytes.Equal(denseRep, streamRep) {
-		t.Errorf("study reports differ:\n--- dense ---\n%s\n--- streaming ---\n%s", denseRep, streamRep)
-	}
-	if !bytes.Equal(denseGob, streamGob) {
-		t.Error("gob-encoded StudyResults differ (beyond the rendered report)")
-	}
-	if len(denseRep) == 0 {
-		t.Fatal("empty report")
-	}
-}
-
-// TestGoldenEquivalenceDiscoveryVectors checks equivalence one layer
-// deeper for the signature-ablation shapes RunStudy does not cover
-// (BBV-only, LDV-only): per-run barrier point sets must match exactly.
-func TestGoldenEquivalenceDiscoveryVectors(t *testing.T) {
-	build := phasedBuilder(4, 8)
-	for _, variant := range []struct {
-		name string
-		mut  func(*DiscoveryConfig)
-	}{
-		{"bbv+ldv", func(*DiscoveryConfig) {}},
-		{"bbv-only", func(c *DiscoveryConfig) { c.DisableLDV = true }},
-		{"ldv-only", func(c *DiscoveryConfig) { c.DisableBBV = true }},
-	} {
-		t.Run(variant.name, func(t *testing.T) {
-			cfg := DiscoveryConfig{Threads: 2, Runs: 3, Seed: 7}
-			variant.mut(&cfg)
-
-			legacySignaturePath = true
-			want, err := Discover(build, cfg)
-			legacySignaturePath = false
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := Discover(build, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			var a, b bytes.Buffer
-			if err := gob.NewEncoder(&a).Encode(want); err != nil {
-				t.Fatal(err)
-			}
-			if err := gob.NewEncoder(&b).Encode(got); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(a.Bytes(), b.Bytes()) {
-				t.Errorf("barrier point sets differ between dense and streaming paths:\ndense: %+v\nstreaming: %+v", want, got)
-			}
-		})
-	}
-}
-
 // init fixes the process-wide gob type ids of the digested types before
 // any test runs. gob numbers a type the first time any encoder or decoder
 // in the process meets it, and the ids are part of the encoded bytes, so
@@ -197,12 +109,14 @@ func TestGoldenDiscoveryDigests(t *testing.T) {
 		{"bbv-only", func(c *DiscoveryConfig) { c.DisableLDV = true }},
 		{"ldv-only", func(c *DiscoveryConfig) { c.DisableBBV = true }},
 	} {
-		cfg := DiscoveryConfig{Threads: 2, Runs: 3, Seed: 7}
-		variant.mut(&cfg)
-		sets, err := Discover(build, cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", variant.name, err)
-		}
-		checkDigest(t, want, "discovery/"+variant.name+"/gob", gobBytes(t, sets))
+		t.Run(variant.name, func(t *testing.T) {
+			cfg := DiscoveryConfig{Threads: 2, Runs: 3, Seed: 7}
+			variant.mut(&cfg)
+			sets, err := Discover(build, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkDigest(t, want, "discovery/"+variant.name+"/gob", gobBytes(t, sets))
+		})
 	}
 }

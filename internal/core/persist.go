@@ -11,11 +11,9 @@ import (
 // help: LDVBaseline keeps its data in an unexported field, and
 // SetEvaluation carries an error value, which gob cannot encode.
 
-// ldvBaselineGob is the wire shape of an LDVBaseline: the projected rows
-// only. The raw binned LDVs exist solely on the in-process legacy golden
-// path and are never persisted. (This shape replaced the raw-row wire
-// format; the cache codec name carries the version bump, so old disk
-// entries are simply recomputed.)
+// ldvBaselineGob is the wire shape of an LDVBaseline: the projected rows.
+// (This shape replaced the raw-row wire format; the cache codec name
+// carries the version bump, so old disk entries are simply recomputed.)
 type ldvBaselineGob struct {
 	N, Dim int
 	Proj   []float64
