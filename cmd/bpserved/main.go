@@ -67,6 +67,12 @@ import (
 	"barrierpoint/internal/service"
 )
 
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers, so idle or trickling clients cannot hold connections
+// open indefinitely. Long-polls are unaffected: they wait after the
+// headers are read.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	var (
 		addr        = flag.String("addr", ":8080", "listen address")
@@ -139,7 +145,7 @@ func main() {
 		})
 	}
 
-	srv := &http.Server{Handler: svc.Handler()}
+	srv := &http.Server{Handler: svc.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 

@@ -16,9 +16,19 @@ var (
 	errServerClosed = errors.New("service: server is shutting down")
 )
 
-// queueItem is one queued job with its scheduling key.
+// queued is what the submission queue orders and the executors run: a
+// standalone job, or a whole sweep, which competes with individual
+// submissions under the same banding rules.
+type queued interface {
+	// run drives the record through its lifecycle on an executor.
+	run(s *Server)
+	// abort cancels a record that was queued but will never run.
+	abort(s *Server, err error)
+}
+
+// queueItem is one queued record with its scheduling key.
 type queueItem struct {
-	j   *job
+	x   queued
 	pri int    // higher pops first
 	seq uint64 // submission order; lower pops first within a band
 	idx int    // heap index, maintained by queueHeap
@@ -64,7 +74,7 @@ type jobQueue struct {
 	mu       sync.Mutex
 	nonEmpty sync.Cond
 	items    queueHeap
-	byJob    map[*job]*queueItem
+	byRecord map[queued]*queueItem
 	depth    int
 	seq      uint64
 	closed   bool
@@ -89,8 +99,8 @@ func (m queueMetrics) clock() time.Time {
 
 func newJobQueue(depth int) *jobQueue {
 	q := &jobQueue{
-		byJob: make(map[*job]*queueItem),
-		depth: depth,
+		byRecord: make(map[queued]*queueItem),
+		depth:    depth,
 	}
 	q.nonEmpty.L = &q.mu
 	return q
@@ -102,8 +112,8 @@ func (q *jobQueue) instrument(m queueMetrics) { q.met = m }
 // band renders a priority as the metric label for its queue band.
 func band(pri int) string { return strconv.Itoa(pri) }
 
-// push enqueues the job at the given priority.
-func (q *jobQueue) push(j *job, pri int) error {
+// push enqueues x at the given priority.
+func (q *jobQueue) push(x queued, pri int) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
@@ -113,9 +123,9 @@ func (q *jobQueue) push(j *job, pri int) error {
 		return errQueueFull
 	}
 	q.seq++
-	it := &queueItem{j: j, pri: pri, seq: q.seq, enq: q.met.clock()}
+	it := &queueItem{x: x, pri: pri, seq: q.seq, enq: q.met.clock()}
 	heap.Push(&q.items, it)
-	q.byJob[j] = it
+	q.byRecord[x] = it
 	q.met.depth.With(band(pri)).Inc()
 	q.nonEmpty.Signal()
 	return nil
@@ -124,7 +134,7 @@ func (q *jobQueue) push(j *job, pri int) error {
 // pop blocks until a job is available (returning the highest-priority,
 // oldest one) or the queue is closed (returning ok=false immediately,
 // leaving any remaining jobs for close's caller to drain).
-func (q *jobQueue) pop() (*job, bool) {
+func (q *jobQueue) pop() (queued, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for len(q.items) == 0 && !q.closed {
@@ -134,24 +144,24 @@ func (q *jobQueue) pop() (*job, bool) {
 		return nil, false
 	}
 	it := heap.Pop(&q.items).(*queueItem)
-	delete(q.byJob, it.j)
+	delete(q.byRecord, it.x)
 	q.met.depth.With(band(it.pri)).Dec()
 	q.met.wait.With(band(it.pri)).Observe(q.met.clock().Sub(it.enq).Seconds())
-	return it.j, true
+	return it.x, true
 }
 
-// remove pulls a still-queued job out of the queue, reporting whether it
-// was there (false means an executor already claimed it, or it was never
-// queued here).
-func (q *jobQueue) remove(j *job) bool {
+// remove pulls a still-queued record out of the queue, reporting whether
+// it was there (false means an executor already claimed it, or it was
+// never queued here).
+func (q *jobQueue) remove(x queued) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	it, ok := q.byJob[j]
+	it, ok := q.byRecord[x]
 	if !ok {
 		return false
 	}
 	heap.Remove(&q.items, it.idx)
-	delete(q.byJob, j)
+	delete(q.byRecord, x)
 	// Cancelled before starting: drop from depth, but do not record a
 	// queue wait — the histogram tracks time-to-start only.
 	q.met.depth.With(band(it.pri)).Dec()
@@ -159,20 +169,20 @@ func (q *jobQueue) remove(j *job) bool {
 }
 
 // close marks the queue closed, wakes all blocked pops, and returns the
-// jobs still queued in pop order. Idempotent; later calls return nil.
-func (q *jobQueue) close() []*job {
+// records still queued in pop order. Idempotent; later calls return nil.
+func (q *jobQueue) close() []queued {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
 		return nil
 	}
 	q.closed = true
-	drained := make([]*job, 0, len(q.items))
+	drained := make([]queued, 0, len(q.items))
 	for len(q.items) > 0 {
 		it := heap.Pop(&q.items).(*queueItem)
-		delete(q.byJob, it.j)
+		delete(q.byRecord, it.x)
 		q.met.depth.With(band(it.pri)).Dec()
-		drained = append(drained, it.j)
+		drained = append(drained, it.x)
 	}
 	q.nonEmpty.Broadcast()
 	return drained

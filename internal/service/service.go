@@ -163,74 +163,49 @@ type Health struct {
 	Distributed *sched.RemoteStats `json:"distributed,omitempty"`
 }
 
-// job is the server-side record behind a JobStatus.
+// job is the server-side record behind a JobStatus. The embedded
+// lifecycle's mu guards status too; status holds the job's own fields,
+// and its lifecycle fields are filled from the lifecycle at snapshot.
 type job struct {
-	mu     sync.Mutex
+	lifecycle
 	status JobStatus
 	result *core.StudyResult
-	// changed, when non-nil, is closed at the next visible change; it is
-	// allocated lazily by the first long-poller waiting on this job.
-	changed chan struct{}
-	// cancel aborts the running study's context; non-nil only while the
-	// job runs.
-	cancel context.CancelFunc
-	// cancelRequested records a DELETE, so the executor can tell a
-	// cancelled study apart from one that failed on its own, and skip a
-	// job whose cancellation raced with its dequeue.
-	cancelRequested bool
 	// memberOf/memberIdx tie a batch-submitted job to its sweep and its
 	// index in the sweep's plan; nil/0 for ordinary submissions. Set
 	// before the job is published, immutable after.
 	memberOf  *sweep
 	memberIdx int
-	// carries marks a sweep's queue carrier: the pseudo-job that holds
-	// the sweep's place in the priority queue. Carriers never appear in
-	// the job list.
-	carries *sweep
 }
 
-// bumpLocked records a visible change: the version increments and any
-// long-pollers waiting on the previous state wake. Callers hold j.mu.
-func (j *job) bumpLocked() {
-	j.status.Version++
-	if j.changed != nil {
-		close(j.changed)
-		j.changed = nil
-	}
+func (j *job) run(s *Server) { s.runJob(j) }
+
+func (j *job) abort(s *Server, err error) { s.finishJob(j, StateCancelled, err, nil) }
+
+// newJob returns a queued job for req at scheduling band pri.
+func newJob(req SubmitRequest, pri int, at time.Time) *job {
+	j := &job{status: JobStatus{Request: req, Priority: pri}}
+	j.state, j.submittedAt = StateQueued, at
+	return j
 }
 
-// waitChanLocked returns the channel closed at the next visible change.
-// Callers hold j.mu.
-func (j *job) waitChanLocked() <-chan struct{} {
-	if j.changed == nil {
-		j.changed = make(chan struct{})
-	}
-	return j.changed
-}
-
-// snapshot returns a copy of the status safe to use outside j.mu. The
-// Progress field is deep-copied: the executor mutates it in place while
-// handlers encode snapshots.
+// snapshot returns a copy of the status safe to use outside j.mu.
 func (j *job) snapshot() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.snapshotLocked()
 }
 
-// snapshotLocked is snapshot for callers already holding j.mu.
+// snapshotLocked is snapshot for callers already holding j.mu. The
+// Progress field is deep-copied: the executor mutates it in place while
+// handlers encode snapshots.
 func (j *job) snapshotLocked() JobStatus {
 	st := j.status
+	st.State, st.Version, st.SubmittedAt, st.StartedAt, st.FinishedAt, st.Error = j.fieldsLocked()
 	if st.Progress != nil {
 		p := *st.Progress
 		st.Progress = &p
 	}
 	return st
-}
-
-func (j *job) setID(id string) {
-	j.mu.Lock()
-	j.status.ID = id
-	j.mu.Unlock()
 }
 
 // setProgress folds one scheduler progress report into the status.
@@ -244,25 +219,6 @@ func (j *job) setProgress(done, total int) {
 		p.UnitsTotal = total
 		j.bumpLocked()
 	}
-	j.mu.Unlock()
-}
-
-// state reads just the lifecycle phase, without the full status copy.
-func (j *job) state() State {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.status.State
-}
-
-// finish moves the job to a terminal state.
-func (j *job) finish(at time.Time, st State, err error) {
-	j.mu.Lock()
-	j.status.State = st
-	j.status.FinishedAt = &at
-	if err != nil {
-		j.status.Error = err.Error()
-	}
-	j.bumpLocked()
 	j.mu.Unlock()
 }
 
@@ -343,12 +299,11 @@ type Server struct {
 
 	// Observability: the process-wide metric registry (served at
 	// GET /metrics), the per-study span tracer (GET /studies/{id}/trace),
-	// the process start time behind uptime, and the per-state job
-	// transition counter.
-	reg       *obs.Registry
-	tracer    *obs.Tracer
-	start     time.Time
-	jobsTotal *obs.CounterVec
+	// the process start time behind uptime, and the job transition log.
+	reg    *obs.Registry
+	tracer *obs.Tracer
+	start  time.Time
+	jobLog transitionLog
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -362,12 +317,13 @@ type Server struct {
 	maxJobs int
 
 	// Batch sweeps: records behind GET /sweeps/{id}, retention order,
-	// sizing, and the bp_sweep_* metric handles (see sweep.go).
+	// sizing, and the sweep transition log and bp_sweep_* metric handles
+	// (see sweep.go).
 	sweeps          map[string]*sweep
 	sweepOrder      []string
 	nextSweepID     int
 	maxSweepStudies int
-	sweepsTotal     *obs.CounterVec
+	sweepLog        transitionLog
 	sweepStudies    *obs.Histogram
 	sweepPlanSecs   *obs.Histogram
 	sweepPlanned    *obs.Counter
@@ -435,8 +391,11 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.opts.Cache = s.cache
 	s.opts.Metrics = sched.NewMetrics(s.reg)
-	s.jobsTotal = s.reg.CounterVec("bp_jobs_total",
-		"Job state transitions, by the state entered.", "state")
+	s.jobLog = transitionLog{
+		total: s.reg.CounterVec("bp_jobs_total",
+			"Job state transitions, by the state entered.", "state"),
+		msg: "study transition", idKey: "job",
+	}
 	s.reg.GaugeFunc("bp_uptime_seconds", "Seconds since the server started.",
 		func() float64 { return s.now().Sub(s.start).Seconds() })
 	s.queue.instrument(queueMetrics{
@@ -469,61 +428,51 @@ func New(cfg Config) (*Server, error) {
 
 // Close stops the service: the queue is closed first (new submissions are
 // rejected with 503), running studies are cancelled, and once the
-// executors exit the jobs still queued are marked cancelled. Closing the
-// queue before waiting means no job can slip in after the drain and sit
-// "queued" forever with no executor left to run it. Finally the result
+// executors exit the jobs and sweeps still queued are marked cancelled.
+// Closing the queue before waiting means nothing can slip in after the
+// drain and sit "queued" forever with no executor left to run it. Finally the result
 // cache is closed, which flushes pending write-behinds to the persistent
 // store — results computed just before shutdown survive the restart.
 func (s *Server) Close() {
 	drained := s.queue.close()
 	s.cancel()
 	s.wg.Wait()
-	for _, j := range drained {
-		if sw := j.carries; sw != nil {
-			s.abortQueuedSweep(sw, errServerClosed)
-			continue
-		}
-		s.markTerminal(j, StateCancelled, errServerClosed)
+	for _, x := range drained {
+		x.abort(s, errServerClosed)
 	}
 	if err := s.cache.Close(); err != nil {
 		s.log.Error(context.Background(), "cache store close failed", "err", err)
 	}
 }
 
-// noteTransition counts one job state transition and logs it as one
-// structured event: study, state, app, priority, plus duration (start →
-// finish, or submit → finish for jobs that never started) and error on
-// terminal states.
-func (s *Server) noteTransition(j *job, st State) {
-	s.jobsTotal.With(string(st)).Inc()
-	snap := j.snapshot()
-	kv := []any{
-		"job", snap.ID,
-		"state", string(st),
-		"app", snap.Request.App,
-		"priority", strconv.Itoa(snap.Priority),
-	}
-	if st.terminal() && snap.FinishedAt != nil {
-		from := snap.SubmittedAt
-		if snap.StartedAt != nil {
-			from = *snap.StartedAt
-		}
-		kv = append(kv, "duration", snap.FinishedAt.Sub(from).Round(time.Millisecond))
-	}
-	level := obs.LevelInfo
-	if snap.Error != "" && (st == StateFailed || st == StateCancelled) {
-		kv = append(kv, "error", snap.Error)
-		if st == StateFailed {
-			level = obs.LevelError
-		}
-	}
-	s.log.Log(context.Background(), level, "study transition", kv...)
+// noteJob counts and logs one job state transition.
+func (s *Server) noteJob(j *job, st State) {
+	j.mu.Lock()
+	id, app, pri := j.status.ID, j.status.Request.App, j.status.Priority
+	j.mu.Unlock()
+	s.noteTransition(s.jobLog, &j.lifecycle, st, id, "app", app, "priority", strconv.Itoa(pri))
 }
 
-// markTerminal finishes the job and records the transition.
-func (s *Server) markTerminal(j *job, st State, err error) {
-	j.finish(s.now(), st, err)
-	s.noteTransition(j, st)
+// finishJob moves a job to its terminal state exactly once — attaching
+// the study's result and summary when it is done — and logs the
+// transition. It reports whether this call finished the job.
+func (s *Server) finishJob(j *job, st State, err error, res *core.StudyResult) bool {
+	var summary *core.Summary
+	if res != nil {
+		sum := res.Summarise()
+		summary = &sum
+	}
+	at := s.now()
+	j.mu.Lock()
+	finished := j.finishLocked(at, st, err)
+	if finished && res != nil {
+		j.status.Summary, j.result = summary, res
+	}
+	j.mu.Unlock()
+	if finished {
+		s.noteJob(j, st)
+	}
+	return finished
 }
 
 // execute is one executor goroutine: it pops jobs in priority order until
@@ -531,48 +480,36 @@ func (s *Server) markTerminal(j *job, st State, err error) {
 func (s *Server) execute() {
 	defer s.wg.Done()
 	for {
-		j, ok := s.queue.pop()
+		x, ok := s.queue.pop()
 		if !ok {
 			return
 		}
-		if j.carries != nil {
-			s.runSweep(j.carries)
-			continue
-		}
-		s.runJob(j)
+		x.run(s)
 	}
 }
 
 // runJob drives one job through running → done/failed/cancelled.
 func (s *Server) runJob(j *job) {
-	started := s.now()
 	ctx, cancel := context.WithCancel(s.ctx)
 	defer cancel()
 
 	j.mu.Lock()
-	if j.cancelRequested {
+	started := j.startLocked(s.now(), cancel)
+	id, req := j.status.ID, j.status.Request
+	cfg := studyConfig(req)
+	if started {
+		j.status.Progress = &Progress{UnitsTotal: sched.StudyUnits(cfg)}
+	}
+	j.mu.Unlock()
+	if !started {
 		// DELETE raced with the dequeue: honour it before doing any work.
-		j.status.State = StateCancelled
-		j.status.FinishedAt = &started
-		j.status.Error = context.Canceled.Error()
-		j.bumpLocked()
-		j.mu.Unlock()
-		s.noteTransition(j, StateCancelled)
+		s.finishJob(j, StateCancelled, context.Canceled, nil)
 		return
 	}
-	j.cancel = cancel
-	j.status.State = StateRunning
-	j.status.StartedAt = &started
-	id := j.status.ID
-	req := j.status.Request
-	cfg := studyConfig(req)
-	j.status.Progress = &Progress{UnitsTotal: sched.StudyUnits(cfg)}
-	j.bumpLocked()
-	j.mu.Unlock()
-	s.noteTransition(j, StateRunning)
+	s.noteJob(j, StateRunning)
 
-	// The study root span: every unit, cache probe and dispatch below
-	// attaches as a descendant via the context.
+	// The study root span: the plan span and every unit, cache probe and
+	// dispatch below attach as descendants via the context.
 	root := s.tracer.StartJob(id).Root("study")
 	root.SetAttr("app", req.App)
 	root.SetAttr("threads", strconv.Itoa(req.Threads))
@@ -581,33 +518,8 @@ func (s *Server) runJob(j *job) {
 
 	res, err := s.runStudy(ctx, j, req.App, cfg)
 
-	j.mu.Lock()
-	j.cancel = nil
-	wasCancelled := j.cancelRequested
-	j.mu.Unlock()
-
-	final := StateDone
-	switch {
-	case err == nil:
-		finished := s.now()
-		summary := res.Summarise()
-		j.mu.Lock()
-		j.status.State = StateDone
-		j.status.FinishedAt = &finished
-		j.status.Summary = &summary
-		j.result = res
-		j.bumpLocked()
-		j.mu.Unlock()
-		s.noteTransition(j, StateDone)
-	case errors.Is(err, context.Canceled) && (wasCancelled || s.ctx.Err() != nil):
-		// Cancelled via DELETE, or the server shut down underneath the
-		// study: either way the study was stopped, it did not fail.
-		final = StateCancelled
-		s.markTerminal(j, StateCancelled, err)
-	default:
-		final = StateFailed
-		s.markTerminal(j, StateFailed, err)
-	}
+	final := s.outcome(err, j.cancelWasRequested())
+	s.finishJob(j, final, err, res)
 	root.SetAttr("state", string(final))
 	if err != nil {
 		root.SetAttr("error", err.Error())
@@ -653,14 +565,7 @@ func (s *Server) validateSubmit(req SubmitRequest) (int, error) {
 			return 0, fmt.Errorf("service: %s must be in [0, %d], got %d", lim.name, lim.max, lim.v)
 		}
 	}
-	pri := s.defaultPri
-	if req.Priority != nil {
-		if *req.Priority < -MaxPriority || *req.Priority > MaxPriority {
-			return 0, fmt.Errorf("service: priority must be in [%d, %d], got %d", -MaxPriority, MaxPriority, *req.Priority)
-		}
-		pri = *req.Priority
-	}
-	return pri, nil
+	return s.priority(req.Priority)
 }
 
 // studyConfig maps a submission's tuning fields onto a StudyConfig.
@@ -682,30 +587,31 @@ func (s *Server) submit(req SubmitRequest) (JobStatus, int, error) {
 		return JobStatus{}, http.StatusBadRequest, err
 	}
 
-	j := &job{status: JobStatus{
-		State:       StateQueued,
-		Request:     req,
-		Priority:    pri,
-		SubmittedAt: s.now(),
-	}}
-	// Enqueue before registering: a rejected submission must not leave a
-	// phantom failed job behind (retry storms against a full queue would
+	j := newJob(req, pri, s.now())
+	// The ID is assigned and the response taken while the job is still
+	// private: once pushed, an executor may start it at any moment, and
+	// the response must show the job as submitted. s.mu is held across
+	// the push so a rejected submission consumes no ID and leaves no
+	// phantom job behind (retry storms against a full queue would
 	// otherwise flood the job list and prune real finished studies).
+	s.mu.Lock()
+	id := fmt.Sprintf("s-%06d", s.nextID+1)
+	j.status.ID = id
+	status := j.snapshot()
 	if err := s.queue.push(j, pri); err != nil {
+		s.mu.Unlock()
 		if errors.Is(err, errQueueFull) {
 			err = fmt.Errorf("%w (%d pending)", err, s.queue.len())
 		}
 		return JobStatus{}, http.StatusServiceUnavailable, err
 	}
-	s.mu.Lock()
 	s.nextID++
-	j.setID(fmt.Sprintf("s-%06d", s.nextID))
-	s.jobs[j.status.ID] = j
-	s.order = append(s.order, j.status.ID)
-	s.pruneJobs()
+	s.jobs[id] = j
+	s.order = append(s.order, id)
+	s.order = pruneFinished(s.order, s.jobs, s.maxJobs)
 	s.mu.Unlock()
-	s.noteTransition(j, StateQueued)
-	return j.snapshot(), http.StatusAccepted, nil
+	s.noteJob(j, StateQueued)
+	return status, http.StatusAccepted, nil
 }
 
 // cancelJob cancels one job: a still-queued job is removed from the queue
@@ -722,54 +628,18 @@ func (s *Server) cancelJob(j *job) (JobStatus, int, error) {
 	// Pull it from the queue first (queue lock only — never nested with
 	// j.mu). Success means no executor will ever see the job.
 	if s.queue.remove(j) {
-		j.mu.Lock()
-		j.cancelRequested = true
-		j.mu.Unlock()
-		s.markTerminal(j, StateCancelled, errors.New("service: cancelled before start"))
+		j.requestCancel()
+		s.finishJob(j, StateCancelled, errCancelledBeforeStart, nil)
 		return j.snapshot(), http.StatusOK, nil
 	}
-	j.mu.Lock()
-	st := j.status.State
-	if st == StateDone || st == StateFailed {
-		id := j.status.ID
-		j.mu.Unlock()
-		return JobStatus{}, http.StatusConflict,
-			fmt.Errorf("service: study %s is already %s", id, st)
-	}
-	if st == StateCancelled {
-		j.mu.Unlock()
-		return j.snapshot(), http.StatusOK, nil
-	}
-	j.cancelRequested = true
-	if j.cancel != nil {
-		j.cancel()
-	}
-	j.mu.Unlock()
 	// Queued-but-claimed (an executor popped it but has not started it)
-	// is handled by runJob's cancelRequested check; running jobs stop at
-	// the next unit boundary.
+	// is handled by runJob's start check; running jobs stop at the next
+	// unit boundary.
+	st := j.requestCancel()
+	if code, err := cancelSettled("study", j.snapshot().ID, st); code != 0 {
+		return j.snapshot(), code, err
+	}
 	return j.snapshot(), http.StatusAccepted, nil
-}
-
-// pruneJobs drops the oldest finished jobs once the retention bound is
-// exceeded, so a long-running server does not accumulate StudyResults
-// without limit. The caller holds s.mu. Queued and running jobs are kept
-// even beyond the bound (the queue depth caps how many those can be).
-func (s *Server) pruneJobs() {
-	excess := len(s.order) - s.maxJobs
-	if excess <= 0 {
-		return
-	}
-	kept := s.order[:0]
-	for _, id := range s.order {
-		if excess > 0 && s.jobs[id].state().terminal() {
-			delete(s.jobs, id)
-			excess--
-			continue
-		}
-		kept = append(kept, id)
-	}
-	s.order = kept
 }
 
 // lookup returns the job for an ID.
@@ -818,12 +688,32 @@ func (s *Server) Handler() http.Handler {
 	return obs.InstrumentHandler(s.reg, "bp_http_request_seconds", mux)
 }
 
+// maxRequestBytes bounds the body of POST /studies and POST
+// /studies:batch. A full 64-member batch is a few KB.
+const maxRequestBytes = 1 << 20
+
+// decodeRequest decodes a JSON body of at most maxRequestBytes into v,
+// rejecting unknown fields. On failure it answers the request itself —
+// 413 for an oversized body, 400 otherwise — and returns false.
+func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	s.writeError(w, code, fmt.Errorf("service: decoding %s: %w", what, err))
+	return false
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("service: decoding submission: %w", err))
+	if !s.decodeRequest(w, r, "submission", &req) {
 		return
 	}
 	status, code, err := s.submit(req)
@@ -838,65 +728,13 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, s.snapshotJobs())
 }
 
-// maxLongPoll caps how long one status request may be held open; longer
-// waits simply return the unchanged status and the client re-issues.
-const maxLongPoll = 2 * time.Minute
-
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.lookup(r.PathValue("id"))
 	if !ok {
 		s.writeError(w, http.StatusNotFound, fmt.Errorf("service: unknown study %q", r.PathValue("id")))
 		return
 	}
-	q := r.URL.Query()
-	waitStr := q.Get("wait")
-	if waitStr == "" {
-		s.writeJSON(w, http.StatusOK, j.snapshot())
-		return
-	}
-	wait, err := time.ParseDuration(waitStr)
-	if err != nil || wait < 0 {
-		s.writeError(w, http.StatusBadRequest,
-			fmt.Errorf("service: wait must be a non-negative duration, got %q", waitStr))
-		return
-	}
-	wait = min(wait, maxLongPoll)
-	// since is the last version the client saw; absent, the wait watches
-	// for the next change from the status as of this request.
-	var since int64 = -1
-	if sinceStr := q.Get("since"); sinceStr != "" {
-		since, err = strconv.ParseInt(sinceStr, 10, 64)
-		if err != nil {
-			s.writeError(w, http.StatusBadRequest,
-				fmt.Errorf("service: since must be a version number, got %q", sinceStr))
-			return
-		}
-	}
-	timer := time.NewTimer(wait)
-	defer timer.Stop()
-	for {
-		j.mu.Lock()
-		st := j.snapshotLocked()
-		ch := j.waitChanLocked()
-		j.mu.Unlock()
-		if since < 0 {
-			since = st.Version
-		}
-		// A terminal job can never change again: return rather than hold
-		// the request open for nothing.
-		if st.Version > since || st.State.terminal() {
-			s.writeJSON(w, http.StatusOK, st)
-			return
-		}
-		select {
-		case <-ch:
-		case <-timer.C:
-			s.writeJSON(w, http.StatusOK, st)
-			return
-		case <-r.Context().Done():
-			return
-		}
-	}
+	s.longPoll(w, r, &j.lifecycle, func() any { return j.snapshot() })
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
@@ -940,30 +778,10 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	renderReport(w, res)
 }
 
-// handleTrace serves the span tree recorded for one study — as a nested
-// JSON tree by default, or one span per line with ?format=jsonl. Traces
-// exist once a job starts and are retained for the most recent jobs only,
-// so a 404 here can mean not-started as well as evicted.
+// handleTrace serves the span tree recorded for one study.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if _, ok := s.lookup(id); !ok {
-		s.writeError(w, http.StatusNotFound, fmt.Errorf("service: unknown study %q", id))
-		return
-	}
-	jt, ok := s.tracer.Job(id)
-	if !ok {
-		s.writeError(w, http.StatusNotFound,
-			fmt.Errorf("service: no trace for study %s (not started, or evicted)", id))
-		return
-	}
-	if r.URL.Query().Get("format") == "jsonl" {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		if err := jt.WriteJSONL(w); err != nil {
-			s.log.Error(r.Context(), "trace write failed", "job", id, "err", err)
-		}
-		return
-	}
-	s.writeJSON(w, http.StatusOK, jt.Tree())
+	_, ok := s.lookup(r.PathValue("id"))
+	s.serveTrace(w, r, "study", ok)
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {

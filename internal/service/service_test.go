@@ -214,3 +214,29 @@ func TestListStudies(t *testing.T) {
 		t.Errorf("list: %+v", list)
 	}
 }
+
+// TestOversizedBodiesRejected: POST /studies and POST /studies:batch
+// read at most maxRequestBytes of body and answer 413 beyond it, without
+// registering anything.
+func TestOversizedBodiesRejected(t *testing.T) {
+	s, ts := newTestServer(t)
+	huge := strings.Repeat("x", maxRequestBytes)
+	for _, c := range []struct{ path, body string }{
+		{"/studies", `{"app":"` + huge + `","threads":2}`},
+		{"/studies:batch", `{"studies":[{"app":"` + huge + `","threads":2}]}`},
+	} {
+		t.Run(strings.TrimPrefix(c.path, "/"), func(t *testing.T) {
+			resp, err := http.Post(ts.URL+c.path, "application/json", strings.NewReader(c.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusRequestEntityTooLarge {
+				t.Errorf("POST %s with a %d-byte body: status %d, want 413", c.path, len(c.body), resp.StatusCode)
+			}
+		})
+	}
+	if jobs := s.snapshotJobs(); len(jobs) != 0 {
+		t.Errorf("oversized submissions registered %d jobs", len(jobs))
+	}
+}

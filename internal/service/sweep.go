@@ -2,12 +2,10 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	"barrierpoint/internal/apps"
@@ -17,9 +15,9 @@ import (
 )
 
 // BatchRequest is the POST /studies:batch body: a whole experiment sweep
-// submitted as one unit. Priority schedules the sweep as a whole (the
-// carrier entry in the priority queue); member studies must leave their
-// own priority unset.
+// submitted as one unit. Priority schedules the sweep as a whole (one
+// entry in the priority queue); member studies must leave their own
+// priority unset.
 type BatchRequest struct {
 	Studies  []SubmitRequest `json:"studies"`
 	Priority *int            `json:"priority,omitempty"`
@@ -50,66 +48,33 @@ type SweepStatus struct {
 	Error string `json:"error,omitempty"`
 }
 
-// sweep is the server-side record behind a SweepStatus. members and
-// carrier are set before the sweep is published and immutable after; the
-// rest is guarded by mu. Lock ordering: never acquire a member's j.mu
-// while holding sw.mu (snapshot members outside the sweep lock).
+// sweep is the server-side record behind a SweepStatus. members are set
+// before the sweep is published and immutable after; the
+// embedded lifecycle's mu guards the rest. status holds the sweep's own
+// fields; its lifecycle fields are filled from the lifecycle at snapshot.
+// Lock ordering: never acquire a member's j.mu while holding sw.mu
+// (snapshot members outside the sweep lock).
 type sweep struct {
+	lifecycle
 	members []*job
-	carrier *job
-
-	mu     sync.Mutex
-	status SweepStatus
+	status  SweepStatus
 	// plan is the executing DAG, set once compilation finishes; member
 	// cancellation routes through it.
 	plan *sched.SweepPlan
-	// changed, when non-nil, is closed at the next visible change.
-	changed chan struct{}
-	// cancel aborts the running sweep's context.
-	cancel context.CancelFunc
-	// cancelRequested records a DELETE on the sweep.
-	cancelRequested bool
-}
-
-// bumpLocked mirrors job.bumpLocked. Callers hold sw.mu.
-func (sw *sweep) bumpLocked() {
-	sw.status.Version++
-	if sw.changed != nil {
-		close(sw.changed)
-		sw.changed = nil
-	}
-}
-
-// bump records a visible change caused by a member update.
-func (sw *sweep) bump() {
-	sw.mu.Lock()
-	sw.bumpLocked()
-	sw.mu.Unlock()
-}
-
-// waitChanLocked mirrors job.waitChanLocked. Callers hold sw.mu.
-func (sw *sweep) waitChanLocked() <-chan struct{} {
-	if sw.changed == nil {
-		sw.changed = make(chan struct{})
-	}
-	return sw.changed
-}
-
-// state reads just the sweep's lifecycle phase.
-func (sw *sweep) state() State {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	return sw.status.State
 }
 
 // maxSweeps bounds how many sweep records are retained; the oldest
 // finished sweeps are pruned past it, like job retention.
 const maxSweeps = 256
 
-// registerSweepMetrics creates the bp_sweep_* metric families.
+// registerSweepMetrics creates the sweep transition log and the
+// bp_sweep_* metric families.
 func (s *Server) registerSweepMetrics() {
-	s.sweepsTotal = s.reg.CounterVec("bp_sweeps_total",
-		"Sweep state transitions, by the state entered.", "state")
+	s.sweepLog = transitionLog{
+		total: s.reg.CounterVec("bp_sweeps_total",
+			"Sweep state transitions, by the state entered.", "state"),
+		msg: "sweep transition", idKey: "sweep",
+	}
 	s.sweepStudies = s.reg.Histogram("bp_sweep_studies",
 		"Member studies per submitted sweep.",
 		[]float64{1, 2, 4, 8, 16, 32, 64, 128})
@@ -139,44 +104,36 @@ func (s *Server) sweepCounts() map[State]int {
 		StateQueued: 0, StateRunning: 0, StateDone: 0, StateFailed: 0, StateCancelled: 0,
 	}
 	for _, sw := range sws {
-		counts[sw.state()]++
+		counts[sw.current()]++
 	}
 	return counts
 }
 
-// noteSweep counts one sweep state transition and logs it.
+// noteSweep counts and logs one sweep state transition.
 func (s *Server) noteSweep(sw *sweep, st State) {
-	s.sweepsTotal.With(string(st)).Inc()
 	sw.mu.Lock()
-	snap := sw.status
+	id, pri := sw.status.ID, sw.status.Priority
 	sw.mu.Unlock()
-	kv := []any{
-		"sweep", snap.ID,
-		"state", string(st),
-		"studies", strconv.Itoa(len(sw.members)),
-		"priority", strconv.Itoa(snap.Priority),
+	s.noteTransition(s.sweepLog, &sw.lifecycle, st, id,
+		"studies", strconv.Itoa(len(sw.members)), "priority", strconv.Itoa(pri))
+}
+
+// finishSweep moves the sweep to its terminal state exactly once and
+// logs the transition.
+func (s *Server) finishSweep(sw *sweep, st State, err error) {
+	at := s.now()
+	sw.mu.Lock()
+	finished := sw.finishLocked(at, st, err)
+	sw.mu.Unlock()
+	if finished {
+		s.noteSweep(sw, st)
 	}
-	if st.terminal() && snap.FinishedAt != nil {
-		from := snap.SubmittedAt
-		if snap.StartedAt != nil {
-			from = *snap.StartedAt
-		}
-		kv = append(kv, "duration", snap.FinishedAt.Sub(from).Round(time.Millisecond))
-	}
-	level := obs.LevelInfo
-	if snap.Error != "" && (st == StateFailed || st == StateCancelled) {
-		kv = append(kv, "error", snap.Error)
-		if st == StateFailed {
-			level = obs.LevelError
-		}
-	}
-	s.log.Log(context.Background(), level, "sweep transition", kv...)
 }
 
 // submitSweep validates and enqueues one batch sweep: members register as
-// ordinary (queued) jobs and a single carrier holds the sweep's place in
-// the priority queue, so a sweep competes with individual submissions
-// under the same banding rules.
+// ordinary (queued) jobs and the sweep takes one place in the priority
+// queue, so it competes with individual submissions under the same
+// banding rules.
 func (s *Server) submitSweep(req BatchRequest) (SweepStatus, int, error) {
 	if len(req.Studies) == 0 {
 		return SweepStatus{}, http.StatusBadRequest,
@@ -186,13 +143,9 @@ func (s *Server) submitSweep(req BatchRequest) (SweepStatus, int, error) {
 		return SweepStatus{}, http.StatusBadRequest,
 			fmt.Errorf("service: batch is limited to %d studies, got %d", s.maxSweepStudies, len(req.Studies))
 	}
-	pri := s.defaultPri
-	if req.Priority != nil {
-		if *req.Priority < -MaxPriority || *req.Priority > MaxPriority {
-			return SweepStatus{}, http.StatusBadRequest,
-				fmt.Errorf("service: priority must be in [%d, %d], got %d", -MaxPriority, MaxPriority, *req.Priority)
-		}
-		pri = *req.Priority
+	pri, err := s.priority(req.Priority)
+	if err != nil {
+		return SweepStatus{}, http.StatusBadRequest, err
 	}
 	now := s.now()
 	members := make([]*job, len(req.Studies))
@@ -204,102 +157,49 @@ func (s *Server) submitSweep(req BatchRequest) (SweepStatus, int, error) {
 		if _, err := s.validateSubmit(sr); err != nil {
 			return SweepStatus{}, http.StatusBadRequest, fmt.Errorf("service: study %d: %w", i, err)
 		}
-		members[i] = &job{status: JobStatus{
-			State:       StateQueued,
-			Request:     sr,
-			Priority:    pri,
-			SubmittedAt: now,
-		}}
+		members[i] = newJob(sr, pri, now)
 	}
-	sw := &sweep{members: members, status: SweepStatus{
-		State:       StateQueued,
-		Priority:    pri,
-		SubmittedAt: now,
-	}}
-	sw.carrier = &job{carries: sw, status: JobStatus{
-		State:       StateQueued,
-		Priority:    pri,
-		SubmittedAt: now,
-	}}
+	sw := &sweep{members: members, status: SweepStatus{Priority: pri}}
+	sw.state, sw.submittedAt = StateQueued, now
 
+	// As in submit, IDs are assigned and the response taken while the
+	// sweep is still private, and s.mu is held across the push: a
+	// rejected batch consumes no IDs and registers nothing.
 	s.mu.Lock()
-	s.nextSweepID++
-	swID := fmt.Sprintf("sw-%06d", s.nextSweepID)
+	swID := fmt.Sprintf("sw-%06d", s.nextSweepID+1)
 	sw.status.ID = swID
 	memberIDs := make([]string, len(members))
 	for i, j := range members {
-		s.nextID++
-		id := fmt.Sprintf("s-%06d", s.nextID)
-		j.status.ID = id
+		memberIDs[i] = fmt.Sprintf("s-%06d", s.nextID+1+i)
+		j.status.ID = memberIDs[i]
 		j.status.Sweep = swID
-		j.memberOf = sw
-		j.memberIdx = i
-		s.jobs[id] = j
-		s.order = append(s.order, id)
-		memberIDs[i] = id
+		j.memberOf, j.memberIdx = sw, i
 	}
-	s.sweeps[swID] = sw
-	s.sweepOrder = append(s.sweepOrder, swID)
-	s.pruneJobs()
-	s.pruneSweeps()
-	s.mu.Unlock()
-
-	if err := s.queue.push(sw.carrier, pri); err != nil {
-		// Unwind the registration: a rejected batch must not leave
-		// phantom queued jobs behind that no executor will ever run.
-		s.mu.Lock()
-		for _, id := range memberIDs {
-			delete(s.jobs, id)
-		}
-		delete(s.sweeps, swID)
-		s.order = withoutIDs(s.order, memberIDs)
-		s.sweepOrder = withoutIDs(s.sweepOrder, []string{swID})
+	status := s.sweepSnapshot(sw)
+	if err := s.queue.push(sw, pri); err != nil {
 		s.mu.Unlock()
 		if errors.Is(err, errQueueFull) {
 			err = fmt.Errorf("%w (%d pending)", err, s.queue.len())
 		}
 		return SweepStatus{}, http.StatusServiceUnavailable, err
 	}
+	s.nextSweepID++
+	s.nextID += len(members)
+	for i, id := range memberIDs {
+		s.jobs[id] = members[i]
+	}
+	s.order = append(s.order, memberIDs...)
+	s.sweeps[swID] = sw
+	s.sweepOrder = append(s.sweepOrder, swID)
+	s.order = pruneFinished(s.order, s.jobs, s.maxJobs)
+	s.sweepOrder = pruneFinished(s.sweepOrder, s.sweeps, maxSweeps)
+	s.mu.Unlock()
 	for _, j := range members {
-		s.noteTransition(j, StateQueued)
+		s.noteJob(j, StateQueued)
 	}
 	s.noteSweep(sw, StateQueued)
 	s.sweepStudies.Observe(float64(len(members)))
-	return s.sweepSnapshot(sw), http.StatusAccepted, nil
-}
-
-// withoutIDs filters ids out of list, preserving order.
-func withoutIDs(list, ids []string) []string {
-	drop := make(map[string]bool, len(ids))
-	for _, id := range ids {
-		drop[id] = true
-	}
-	kept := list[:0]
-	for _, id := range list {
-		if !drop[id] {
-			kept = append(kept, id)
-		}
-	}
-	return kept
-}
-
-// pruneSweeps drops the oldest finished sweeps past the retention bound.
-// The caller holds s.mu. Queued and running sweeps are always kept.
-func (s *Server) pruneSweeps() {
-	excess := len(s.sweepOrder) - maxSweeps
-	if excess <= 0 {
-		return
-	}
-	kept := s.sweepOrder[:0]
-	for _, id := range s.sweepOrder {
-		if excess > 0 && s.sweeps[id].state().terminal() {
-			delete(s.sweeps, id)
-			excess--
-			continue
-		}
-		kept = append(kept, id)
-	}
-	s.sweepOrder = kept
+	return status, http.StatusAccepted, nil
 }
 
 // lookupSweep returns the sweep for an ID.
@@ -315,6 +215,7 @@ func (s *Server) lookupSweep(id string) (*sweep, bool) {
 func (s *Server) sweepSnapshot(sw *sweep) SweepStatus {
 	sw.mu.Lock()
 	st := sw.status
+	st.State, st.Version, st.SubmittedAt, st.StartedAt, st.FinishedAt, st.Error = sw.fieldsLocked()
 	if st.Plan != nil {
 		p := *st.Plan
 		st.Plan = &p
@@ -327,55 +228,20 @@ func (s *Server) sweepSnapshot(sw *sweep) SweepStatus {
 	return st
 }
 
-// terminalizeMember moves one member job to a terminal state exactly
-// once; reports whether this call was the one that did it.
-func (s *Server) terminalizeMember(j *job, st State, err error) bool {
-	finished := s.now()
-	j.mu.Lock()
-	if j.status.State.terminal() {
-		j.mu.Unlock()
-		return false
-	}
-	j.status.State = st
-	j.status.FinishedAt = &finished
-	if err != nil {
-		j.status.Error = err.Error()
-	}
-	j.bumpLocked()
-	j.mu.Unlock()
-	s.noteTransition(j, st)
-	return true
-}
+func (sw *sweep) run(s *Server) { s.runSweep(sw) }
 
-// finishSweep moves the sweep to a terminal state exactly once.
-func (s *Server) finishSweep(sw *sweep, at time.Time, st State, err error) {
-	sw.mu.Lock()
-	if sw.status.State.terminal() {
-		sw.mu.Unlock()
-		return
-	}
-	sw.status.State = st
-	sw.status.FinishedAt = &at
-	if err != nil {
-		sw.status.Error = err.Error()
-	}
-	sw.cancel = nil
-	sw.bumpLocked()
-	sw.mu.Unlock()
-	s.noteSweep(sw, st)
-}
+func (sw *sweep) abort(s *Server, err error) { s.abortQueuedSweep(sw, err, err) }
 
-// abortQueuedSweep cancels a sweep whose carrier never ran (queue drain
-// on Close, DELETE before start): every member and the sweep itself go
-// terminal-cancelled immediately.
-func (s *Server) abortQueuedSweep(sw *sweep, err error) {
-	sw.mu.Lock()
-	sw.cancelRequested = true
-	sw.mu.Unlock()
+// abortQueuedSweep cancels a sweep that never started (queue drain on
+// Close, DELETE before start, or a DELETE that raced with the dequeue):
+// every member goes terminal-cancelled with memberErr, then the sweep
+// itself with err.
+func (s *Server) abortQueuedSweep(sw *sweep, memberErr, err error) {
+	sw.requestCancel()
 	for _, j := range sw.members {
-		s.terminalizeMember(j, StateCancelled, err)
+		s.finishJob(j, StateCancelled, memberErr, nil)
 	}
-	s.finishSweep(sw, s.now(), StateCancelled, err)
+	s.finishSweep(sw, StateCancelled, err)
 }
 
 // runSweep drives one dequeued sweep: compile the member studies into the
@@ -384,25 +250,18 @@ func (s *Server) abortQueuedSweep(sw *sweep, err error) {
 // itself fails only if a member failed, and cancels only via DELETE or
 // server shutdown.
 func (s *Server) runSweep(sw *sweep) {
-	started := s.now()
 	ctx, cancel := context.WithCancel(s.ctx)
 	defer cancel()
 
+	startedAt := s.now()
 	sw.mu.Lock()
-	if sw.cancelRequested {
-		sw.mu.Unlock()
-		for _, j := range sw.members {
-			s.terminalizeMember(j, StateCancelled, errors.New("service: cancelled before start"))
-		}
-		s.finishSweep(sw, started, StateCancelled, context.Canceled)
+	started := sw.startLocked(startedAt, cancel)
+	id := sw.status.ID
+	sw.mu.Unlock()
+	if !started {
+		s.abortQueuedSweep(sw, errCancelledBeforeStart, context.Canceled)
 		return
 	}
-	sw.cancel = cancel
-	sw.status.State = StateRunning
-	sw.status.StartedAt = &started
-	id := sw.status.ID
-	sw.bumpLocked()
-	sw.mu.Unlock()
 	s.noteSweep(sw, StateRunning)
 
 	// The sweep root span: the compiler's plan span and every unit below
@@ -418,50 +277,46 @@ func (s *Server) runSweep(sw *sweep) {
 		}
 		root.End()
 	}()
+	// abandon ends a sweep that cannot execute: the sweep and every member
+	// take the outcome err classifies to — cancelled when a DELETE or
+	// shutdown interrupted compilation, failed otherwise.
+	abandon := func(err error) {
+		final, finalErr = s.outcome(err, sw.cancelWasRequested()), err
+		for _, j := range sw.members {
+			s.finishJob(j, final, err, nil)
+		}
+		s.finishSweep(sw, final, err)
+	}
 
 	// Start every not-yet-cancelled member and build its study request.
 	// App names were validated at submission, so resolution cannot fail.
 	reqs := make([]sched.StudyRequest, len(sw.members))
 	for i, j := range sw.members {
-		req := func() SubmitRequest {
-			j.mu.Lock()
-			defer j.mu.Unlock()
-			return j.status.Request
-		}()
+		j.mu.Lock()
+		req := j.status.Request
+		j.mu.Unlock()
 		a, err := apps.ByName(req.App)
 		if err != nil {
-			for _, m := range sw.members {
-				s.terminalizeMember(m, StateFailed, err)
-			}
-			final, finalErr = StateFailed, err
-			s.finishSweep(sw, s.now(), StateFailed, err)
+			abandon(err)
 			return
 		}
 		cfg := studyConfig(req)
 		reqs[i] = sched.StudyRequest{App: a.Name, Build: a.Build, Config: cfg}
-		transitioned := false
 		j.mu.Lock()
-		if !j.status.State.terminal() && !j.cancelRequested {
-			j.status.State = StateRunning
-			j.status.StartedAt = &started
+		memberStarted := j.startLocked(startedAt, nil)
+		if memberStarted {
 			j.status.Progress = &Progress{UnitsTotal: sched.StudyUnits(cfg)}
-			j.bumpLocked()
-			transitioned = true
 		}
 		j.mu.Unlock()
-		if transitioned {
-			s.noteTransition(j, StateRunning)
+		if memberStarted {
+			s.noteJob(j, StateRunning)
 		}
 	}
 
 	planStart := time.Now()
 	plan, err := sched.CompileSweep(ctx, reqs, s.opts)
 	if err != nil {
-		for _, j := range sw.members {
-			s.terminalizeMember(j, StateFailed, err)
-		}
-		final, finalErr = StateFailed, err
-		s.finishSweep(sw, s.now(), StateFailed, err)
+		abandon(err)
 		return
 	}
 	planSeconds := time.Since(planStart).Seconds()
@@ -486,7 +341,7 @@ func (s *Server) runSweep(sw *sweep) {
 	// now; later DELETEs reach the plan directly through sw.plan.
 	for i, j := range sw.members {
 		j.mu.Lock()
-		cancelled := j.cancelRequested || j.status.State.terminal()
+		cancelled := j.cancelRequested || j.state.terminal()
 		j.mu.Unlock()
 		if cancelled {
 			plan.CancelStudy(i)
@@ -503,66 +358,36 @@ func (s *Server) runSweep(sw *sweep) {
 		},
 	})
 
-	finished := s.now()
-	sw.mu.Lock()
-	wasCancelled := sw.cancelRequested
-	sw.mu.Unlock()
-	var memberErr error
-	failedMembers := 0
-	for _, j := range sw.members {
-		j.mu.Lock()
-		if j.status.State == StateFailed {
-			failedMembers++
-			if memberErr == nil && j.status.Error != "" {
-				memberErr = errors.New(j.status.Error)
+	final, finalErr = s.outcome(execErr, sw.cancelWasRequested()), execErr
+	if final == StateDone {
+		var memberErr error
+		failedMembers := 0
+		for _, j := range sw.members {
+			j.mu.Lock()
+			if j.state == StateFailed {
+				failedMembers++
+				if memberErr == nil && j.err != "" {
+					memberErr = errors.New(j.err)
+				}
 			}
+			j.mu.Unlock()
 		}
-		j.mu.Unlock()
+		if failedMembers > 0 {
+			final = StateFailed
+			finalErr = fmt.Errorf("service: %d member studies failed, first: %w", failedMembers, memberErr)
+		}
 	}
-	switch {
-	case execErr != nil && (wasCancelled || s.ctx.Err() != nil):
-		final, finalErr = StateCancelled, execErr
-	case execErr != nil:
-		final, finalErr = StateFailed, execErr
-	case failedMembers > 0:
-		final = StateFailed
-		finalErr = fmt.Errorf("service: %d member studies failed, first: %w", failedMembers, memberErr)
-	}
-	s.finishSweep(sw, finished, final, finalErr)
+	s.finishSweep(sw, final, finalErr)
 }
 
 // finishSweepMember records one member outcome streamed out of the
-// executing plan, classifying it exactly as runJob classifies a serial
+// executing plan, classified exactly as runJob classifies a standalone
 // study's outcome.
 func (s *Server) finishSweepMember(sw *sweep, j *job, res *core.StudyResult, err error) {
-	finished := s.now()
-	sw.mu.Lock()
-	sweepCancelled := sw.cancelRequested
-	sw.mu.Unlock()
-	st := StateDone
-	j.mu.Lock()
-	if j.status.State.terminal() {
-		j.mu.Unlock()
-		return
+	cancelled := j.cancelWasRequested() || sw.cancelWasRequested()
+	if s.finishJob(j, s.outcome(err, cancelled), err, res) {
+		sw.bump()
 	}
-	switch {
-	case err == nil:
-		summary := res.Summarise()
-		j.status.Summary = &summary
-		j.result = res
-	case errors.Is(err, context.Canceled) && (j.cancelRequested || sweepCancelled || s.ctx.Err() != nil):
-		st = StateCancelled
-		j.status.Error = err.Error()
-	default:
-		st = StateFailed
-		j.status.Error = err.Error()
-	}
-	j.status.State = st
-	j.status.FinishedAt = &finished
-	j.bumpLocked()
-	j.mu.Unlock()
-	s.noteTransition(j, st)
-	sw.bump()
 }
 
 // cancelMember cancels one batch-submitted job: the member is pruned from
@@ -570,41 +395,28 @@ func (s *Server) finishSweepMember(sw *sweep, j *job, res *core.StudyResult, err
 // surface) while its siblings keep running.
 func (s *Server) cancelMember(j *job) (JobStatus, int, error) {
 	sw := j.memberOf
-	j.mu.Lock()
-	st := j.status.State
-	if st == StateDone || st == StateFailed {
-		id := j.status.ID
-		j.mu.Unlock()
-		return JobStatus{}, http.StatusConflict,
-			fmt.Errorf("service: study %s is already %s", id, st)
+	st := j.requestCancel()
+	if code, err := cancelSettled("study", j.snapshot().ID, st); code != 0 {
+		return j.snapshot(), code, err
 	}
-	if st == StateCancelled {
-		j.mu.Unlock()
-		return j.snapshot(), http.StatusOK, nil
-	}
-	j.cancelRequested = true
-	idx := j.memberIdx
-	j.mu.Unlock()
 	sw.mu.Lock()
 	plan := sw.plan
 	sw.mu.Unlock()
+	code := http.StatusAccepted
 	if st == StateQueued {
 		// The sweep has not started this member: terminal immediately,
 		// and prune it from the plan if compilation already happened.
-		if s.terminalizeMember(j, StateCancelled, errors.New("service: cancelled before start")) {
+		if s.finishJob(j, StateCancelled, errCancelledBeforeStart, nil) {
 			sw.bump()
 		}
-		if plan != nil {
-			plan.CancelStudy(idx)
-		}
-		return j.snapshot(), http.StatusOK, nil
+		code = http.StatusOK
 	}
+	// A running member is finalised by the plan (OnStudy → cancelled),
+	// which skips its exclusive units; 202 — poll for "cancelled".
 	if plan != nil {
-		plan.CancelStudy(idx)
+		plan.CancelStudy(j.memberIdx)
 	}
-	// Running member: the plan finalises it (OnStudy → cancelled) and
-	// skips its exclusive units; 202 — poll for "cancelled".
-	return j.snapshot(), http.StatusAccepted, nil
+	return j.snapshot(), code, nil
 }
 
 // cancelSweep cancels a whole sweep, cascading to every member: a
@@ -612,39 +424,22 @@ func (s *Server) cancelMember(j *job) (JobStatus, int, error) {
 // a running one has its context cancelled and winds down at the next
 // unit boundaries.
 func (s *Server) cancelSweep(sw *sweep) (SweepStatus, int, error) {
-	if s.queue.remove(sw.carrier) {
-		s.abortQueuedSweep(sw, errors.New("service: cancelled before start"))
+	if s.queue.remove(sw) {
+		s.abortQueuedSweep(sw, errCancelledBeforeStart, errCancelledBeforeStart)
 		return s.sweepSnapshot(sw), http.StatusOK, nil
 	}
-	sw.mu.Lock()
-	st := sw.status.State
-	if st == StateDone || st == StateFailed {
-		id := sw.status.ID
-		sw.mu.Unlock()
-		return SweepStatus{}, http.StatusConflict,
-			fmt.Errorf("service: sweep %s is already %s", id, st)
+	// Queued-but-claimed (an executor popped the sweep but has not
+	// started it) is handled by runSweep's start check.
+	st := sw.requestCancel()
+	if code, err := cancelSettled("sweep", s.sweepSnapshot(sw).ID, st); code != 0 {
+		return s.sweepSnapshot(sw), code, err
 	}
-	if st == StateCancelled {
-		sw.mu.Unlock()
-		return s.sweepSnapshot(sw), http.StatusOK, nil
-	}
-	sw.cancelRequested = true
-	cancel := sw.cancel
-	sw.mu.Unlock()
-	if cancel != nil {
-		cancel()
-	}
-	// Queued-but-claimed (an executor popped the carrier but has not
-	// started) is handled by runSweep's cancelRequested check.
 	return s.sweepSnapshot(sw), http.StatusAccepted, nil
 }
 
 func (s *Server) handleBatchSubmit(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("service: decoding batch submission: %w", err))
+	if !s.decodeRequest(w, r, "batch submission", &req) {
 		return
 	}
 	status, code, err := s.submitSweep(req)
@@ -675,52 +470,7 @@ func (s *Server) handleSweepStatus(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusNotFound, fmt.Errorf("service: unknown sweep %q", r.PathValue("id")))
 		return
 	}
-	q := r.URL.Query()
-	waitStr := q.Get("wait")
-	if waitStr == "" {
-		s.writeJSON(w, http.StatusOK, s.sweepSnapshot(sw))
-		return
-	}
-	wait, err := time.ParseDuration(waitStr)
-	if err != nil || wait < 0 {
-		s.writeError(w, http.StatusBadRequest,
-			fmt.Errorf("service: wait must be a non-negative duration, got %q", waitStr))
-		return
-	}
-	wait = min(wait, maxLongPoll)
-	var since int64 = -1
-	if sinceStr := q.Get("since"); sinceStr != "" {
-		since, err = strconv.ParseInt(sinceStr, 10, 64)
-		if err != nil {
-			s.writeError(w, http.StatusBadRequest,
-				fmt.Errorf("service: since must be a version number, got %q", sinceStr))
-			return
-		}
-	}
-	timer := time.NewTimer(wait)
-	defer timer.Stop()
-	for {
-		sw.mu.Lock()
-		version := sw.status.Version
-		state := sw.status.State
-		ch := sw.waitChanLocked()
-		sw.mu.Unlock()
-		if since < 0 {
-			since = version
-		}
-		if version > since || state.terminal() {
-			s.writeJSON(w, http.StatusOK, s.sweepSnapshot(sw))
-			return
-		}
-		select {
-		case <-ch:
-		case <-timer.C:
-			s.writeJSON(w, http.StatusOK, s.sweepSnapshot(sw))
-			return
-		case <-r.Context().Done():
-			return
-		}
-	}
+	s.longPoll(w, r, &sw.lifecycle, func() any { return s.sweepSnapshot(sw) })
 }
 
 func (s *Server) handleSweepCancel(w http.ResponseWriter, r *http.Request) {
@@ -740,23 +490,6 @@ func (s *Server) handleSweepCancel(w http.ResponseWriter, r *http.Request) {
 // handleSweepTrace serves the sweep's span tree: the sweep root, the
 // compiler's plan span, and every executed unit beneath.
 func (s *Server) handleSweepTrace(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if _, ok := s.lookupSweep(id); !ok {
-		s.writeError(w, http.StatusNotFound, fmt.Errorf("service: unknown sweep %q", id))
-		return
-	}
-	jt, ok := s.tracer.Job(id)
-	if !ok {
-		s.writeError(w, http.StatusNotFound,
-			fmt.Errorf("service: no trace for sweep %s (not started, or evicted)", id))
-		return
-	}
-	if r.URL.Query().Get("format") == "jsonl" {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		if err := jt.WriteJSONL(w); err != nil {
-			s.log.Error(r.Context(), "trace write failed", "job", id, "err", err)
-		}
-		return
-	}
-	s.writeJSON(w, http.StatusOK, jt.Tree())
+	_, ok := s.lookupSweep(r.PathValue("id"))
+	s.serveTrace(w, r, "sweep", ok)
 }
