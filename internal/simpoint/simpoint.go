@@ -62,15 +62,31 @@ type Result struct {
 	BIC float64
 }
 
+// sqDist is unrolled by four with the additions kept in index order, so
+// its result is bit-identical to the one-element loop's. The one-element
+// loop's speed depended on where the linker placed it: deleting 1.4 KB of
+// unrelated code ahead of it made jittered discovery 27% slower on a
+// 2-vCPU Xeon. The unrolled body was faster than either placement and
+// insensitive to it.
+//
 //bp:noalloc
 func sqDist(a, b []float64) float64 {
 	var ss float64
 	b = b[:len(a)] // bounds-check hint
-	for i := range a {
-		d := a[i] - b[i]
-		// The conversion forces the square to round before the add,
+	i := 0
+	for ; i+4 <= len(a); i += 4 {
+		aa, bb := a[i:i+4:i+4], b[i:i+4:i+4]
+		d0, d1, d2, d3 := aa[0]-bb[0], aa[1]-bb[1], aa[2]-bb[2], aa[3]-bb[3]
+		// The conversions force each square to round before its add,
 		// blocking compiler FMA fusion (arm64) so every architecture
 		// computes the same distances.
+		ss += float64(d0 * d0)
+		ss += float64(d1 * d1)
+		ss += float64(d2 * d2)
+		ss += float64(d3 * d3)
+	}
+	for ; i < len(a); i++ {
+		d := a[i] - b[i]
 		ss += float64(d * d)
 	}
 	return ss

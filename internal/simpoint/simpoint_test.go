@@ -236,3 +236,24 @@ func TestWeightlessRepresentativeFallsBackToCount(t *testing.T) {
 		t.Errorf("weightless multipliers should count members, got %f", totalMult)
 	}
 }
+
+// TestSqDistMatchesSerialSum: the unrolled sqDist adds the squares in
+// index order, so it must equal the one-element loop bit for bit at every
+// length, including the tails the four-wide body leaves over.
+func TestSqDistMatchesSerialSum(t *testing.T) {
+	rng := xrand.New(7)
+	for n := 0; n <= 33; n++ {
+		a, b := make([]float64, n), make([]float64, n)
+		for i := range a {
+			a[i], b[i] = rng.NormFloat64()*1e3, rng.NormFloat64()*1e-3
+		}
+		var want float64
+		for i := range a {
+			d := a[i] - b[i]
+			want += float64(d * d)
+		}
+		if got := sqDist(a, b); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("n=%d: sqDist = %v, serial sum = %v", n, got, want)
+		}
+	}
+}
