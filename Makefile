@@ -15,15 +15,15 @@ BENCH_OUT ?= BENCH_pipeline.json
 
 .PHONY: ci fmt-check vet lint lint-smoke build test-short test test-race \
 	test-persist test-dist test-obs test-sweep test-purego bench bench-json \
-	bench-json-smoke bench-diff
+	bench-json-smoke bench-diff bench-smoke
 
 # ci is the tier-1 gate: formatting, static checks (go vet plus the
 # project's own bpvet analyzers), build, fast tests, the race detector
 # over the whole tree, the persistence suite, the distributed-execution
 # suite, the observability suite, the batch-sweep suite, the
-# scalar-fallback kernel leg, and a 1x smoke of the bench-json harness so
-# it cannot bit-rot.
-ci: fmt-check vet lint build test-short test-race test-persist test-dist test-obs test-sweep test-purego bench-json-smoke
+# scalar-fallback kernel leg, a 1x smoke of the bench-json harness so it
+# cannot bit-rot, and the repo benchmark's smoke test.
+ci: fmt-check vet lint build test-short test-race test-persist test-dist test-obs test-sweep test-purego bench-json-smoke bench-smoke
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -124,6 +124,13 @@ test-purego:
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
+
+# bench-smoke runs the repo benchmark's own smoke test on shrunk
+# workloads. perfbench is a separate module, so the root build never
+# compiles its calls into sched and service; this leg does, and checks
+# every declared metric is emitted.
+bench-smoke:
+	cd perfbench && $(GO) test .
 
 # bench-json records the signature-pipeline performance trajectory: the
 # mem/pin/sigvec micro-benchmarks, the sweep-planner compile benchmark,

@@ -217,38 +217,17 @@ func TestRunReportsProgress(t *testing.T) {
 
 // TestRunCachedStudyReportsFullProgress: a whole-study cache hit skips
 // every unit, so progress must jump straight to total/total rather than
-// staying silent.
+// staying silent, and the caller's span is tagged study_cache=hit.
 func TestRunCachedStudyReportsFullProgress(t *testing.T) {
 	req := testRequest(t)
 	cache := resultcache.New(128)
 	if _, err := Run(context.Background(), req, Options{Workers: 4, Cache: cache}); err != nil {
 		t.Fatal(err)
 	}
-	var reports [][2]int
-	_, err := Run(context.Background(), req, Options{Workers: 4, Cache: cache,
-		Progress: func(done, total int) { reports = append(reports, [2]int{done, total}) }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := StudyUnits(req.Config)
-	if len(reports) != 1 || reports[0] != [2]int{total, total} {
-		t.Errorf("cached study should report one %d/%d, got %v", total, total, reports)
-	}
-}
-
-// TestRunCachedStudyMarksSpan: a whole-study cache hit through Run tags
-// the caller's span with study_cache=hit and reports progress exactly
-// once, as total/total.
-func TestRunCachedStudyMarksSpan(t *testing.T) {
-	req := testRequest(t)
-	cache := resultcache.New(128)
-	if _, err := Run(context.Background(), req, Options{Workers: 2, Cache: cache}); err != nil {
-		t.Fatal(err)
-	}
 	jt := obs.NewJobTrace("cached", 64)
 	root := jt.Root("study")
 	var reports [][2]int
-	_, err := Run(obs.ContextWithSpan(context.Background(), root), req, Options{Workers: 2, Cache: cache,
+	_, err := Run(obs.ContextWithSpan(context.Background(), root), req, Options{Workers: 4, Cache: cache,
 		Progress: func(done, total int) { reports = append(reports, [2]int{done, total}) }})
 	if err != nil {
 		t.Fatal(err)

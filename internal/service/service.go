@@ -430,9 +430,10 @@ func New(cfg Config) (*Server, error) {
 // rejected with 503), running studies are cancelled, and once the
 // executors exit the jobs and sweeps still queued are marked cancelled.
 // Closing the queue before waiting means nothing can slip in after the
-// drain and sit "queued" forever with no executor left to run it. Finally the result
-// cache is closed, which flushes pending write-behinds to the persistent
-// store — results computed just before shutdown survive the restart.
+// drain and sit "queued" forever with no executor left to run it.
+// Finally the result cache is closed, which flushes pending write-behinds
+// to the persistent store — results computed just before shutdown survive
+// the restart.
 func (s *Server) Close() {
 	drained := s.queue.close()
 	s.cancel()
@@ -475,8 +476,8 @@ func (s *Server) finishJob(j *job, st State, err error, res *core.StudyResult) b
 	return finished
 }
 
-// execute is one executor goroutine: it pops jobs in priority order until
-// the queue closes.
+// execute is one executor goroutine: it pops jobs and sweeps in priority
+// order until the queue closes.
 func (s *Server) execute() {
 	defer s.wg.Done()
 	for {
