@@ -14,16 +14,16 @@ PIPELINE_BENCHTIME ?= 5x
 BENCH_OUT ?= BENCH_pipeline.json
 
 .PHONY: ci fmt-check vet lint lint-smoke build test-short test test-race \
-	test-persist test-dist test-obs test-sweep test-purego bench bench-json \
+	test-persist test-dist test-obs test-sweep bench bench-json \
 	bench-json-smoke bench-diff bench-smoke
 
 # ci is the tier-1 gate: formatting, static checks (go vet plus the
 # project's own bpvet analyzers), build, fast tests, the race detector
 # over the whole tree, the persistence suite, the distributed-execution
-# suite, the observability suite, the batch-sweep suite, the
-# scalar-fallback kernel leg, a 1x smoke of the bench-json harness so it
-# cannot bit-rot, and the repo benchmark's smoke test.
-ci: fmt-check vet lint build test-short test-race test-persist test-dist test-obs test-sweep test-purego bench-json-smoke bench-smoke
+# suite, the observability suite, the batch-sweep suite, a 1x smoke of
+# the bench-json harness so it cannot bit-rot, and the repo benchmark's
+# smoke test.
+ci: fmt-check vet lint build test-short test-race test-persist test-dist test-obs test-sweep bench-json-smoke bench-smoke
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -112,16 +112,6 @@ test-sweep:
 	$(GO) test -race -timeout 30m -run 'Sweep|BatchSweep|BatchStudies|StudySpecs' \
 		./internal/sched/... ./internal/service/... ./internal/experiments/...
 
-# test-purego proves the scalar projection fallback stays healthy on both
-# of its paths: the purego build tag compiles the SIMD kernels out
-# entirely, and BP_PUREGO=1 exercises the runtime override on the normal
-# build (internal/cpu's TestPuregoOverride only bites under it). -count=1
-# defeats test caching, which would otherwise replay results recorded
-# without the env var.
-test-purego:
-	$(GO) test -tags purego -count=1 ./internal/cpu/ ./internal/sigvec/ ./internal/core/
-	BP_PUREGO=1 $(GO) test -count=1 ./internal/cpu/ ./internal/sigvec/
-
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 
@@ -142,7 +132,7 @@ bench-smoke:
 # benchjson sees the FAIL line and refuses to record.
 bench-json:
 	{ $(GO) test -run '^$$' -benchmem -benchtime $(BENCHTIME) \
-		-bench 'StackDist|^BenchmarkStream|BuildReference|BuilderSparse|BuilderDense' \
+		-bench 'StackDist|^BenchmarkStream|BuildReference|BuilderSparse' \
 		./internal/mem ./internal/pin ./internal/sigvec; \
 	  $(GO) test -run '^$$' -benchmem -benchtime $(BENCHTIME) \
 		-bench 'SweepPlanner' ./internal/sched; \

@@ -1,21 +1,18 @@
-// Benchmarks that regenerate every table and figure of the paper's
-// evaluation, one benchmark per artefact, plus the ablation studies from
-// DESIGN.md and micro-benchmarks of the core substrates.
+// Micro-benchmarks of the core substrates: native and instrumented
+// execution, end-to-end discovery, clustering and signature projection.
 //
-// The experiment benchmarks share one Runner per benchmark (studies are
-// cached after the first iteration), and use the Quick sweep — fewer
-// discovery runs and thread counts than the paper's full configuration.
-// The full sweep is available through:
+// The paper's tables and figures are regenerated by
 //
 //	go run ./cmd/bpexperiments -exp all
+//
+// and cold studies at the paper's configuration are timed end to end by
+// the repository benchmark in perfbench/ (the study-cold workload).
 package barrierpoint_test
 
 import (
-	"io"
 	"testing"
 
 	"barrierpoint"
-	"barrierpoint/internal/experiments"
 	"barrierpoint/internal/isa"
 	"barrierpoint/internal/machine"
 	"barrierpoint/internal/omp"
@@ -24,92 +21,6 @@ import (
 	"barrierpoint/internal/simpoint"
 	"barrierpoint/internal/xrand"
 )
-
-// sharedRunner caches studies across all experiment benchmarks, so the
-// bench suite pays for each (app, threads, vectorised) study once.
-var sharedRunner = experiments.NewRunner(experiments.Quick())
-
-func benchExperiment(b *testing.B, name string) {
-	b.Helper()
-	exp, err := experiments.ByName(name)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := exp.Run(sharedRunner, io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTable1AppCatalog regenerates Table I.
-func BenchmarkTable1AppCatalog(b *testing.B) { benchExperiment(b, "table1") }
-
-// BenchmarkTable2Machines regenerates Table II.
-func BenchmarkTable2Machines(b *testing.B) { benchExperiment(b, "table2") }
-
-// BenchmarkTable3Selection regenerates Table III (barrier points selected
-// per application across configurations and discovery runs).
-func BenchmarkTable3Selection(b *testing.B) { benchExperiment(b, "table3") }
-
-// BenchmarkTable4Accuracy regenerates Table IV (estimation error and
-// speed-up for the 8-thread configurations).
-func BenchmarkTable4Accuracy(b *testing.B) { benchExperiment(b, "table4") }
-
-// BenchmarkFig1MCBPhases regenerates Figure 1 (MCB per-barrier-point CPI
-// and L2D MPKI with two barrier point sets).
-func BenchmarkFig1MCBPhases(b *testing.B) { benchExperiment(b, "fig1") }
-
-// BenchmarkFig2Errors regenerates Figure 2 (estimation error per
-// application, thread count, and prediction target).
-func BenchmarkFig2Errors(b *testing.B) { benchExperiment(b, "fig2") }
-
-// BenchmarkLimitsApplicability regenerates the Section V-B limitation
-// analysis.
-func BenchmarkLimitsApplicability(b *testing.B) { benchExperiment(b, "limits") }
-
-// BenchmarkOverheadVariability regenerates the Section V-C overhead and
-// variability study.
-func BenchmarkOverheadVariability(b *testing.B) { benchExperiment(b, "overhead") }
-
-// BenchmarkHeadline regenerates the Section VI headline numbers.
-func BenchmarkHeadline(b *testing.B) { benchExperiment(b, "headline") }
-
-// BenchmarkAblationSignature compares BBV+LDV, BBV-only and LDV-only
-// signatures.
-func BenchmarkAblationSignature(b *testing.B) { benchExperiment(b, "ablation-signature") }
-
-// BenchmarkAblationDropInsignificant reproduces the keep-all-points
-// decision.
-func BenchmarkAblationDropInsignificant(b *testing.B) { benchExperiment(b, "ablation-drop") }
-
-// BenchmarkAblationDiscoveryRuns sweeps the number of discovery runs.
-func BenchmarkAblationDiscoveryRuns(b *testing.B) { benchExperiment(b, "ablation-runs") }
-
-// BenchmarkAblationProjectionDim sweeps the signature projection dimension.
-func BenchmarkAblationProjectionDim(b *testing.B) { benchExperiment(b, "ablation-dim") }
-
-// BenchmarkFutureWorkCoreTypes validates selections on in-order vs
-// out-of-order target cores (Section VIII).
-func BenchmarkFutureWorkCoreTypes(b *testing.B) { benchExperiment(b, "fw-coretypes") }
-
-// BenchmarkFutureWorkCoarsen fuses LULESH's short regions (Section VIII).
-func BenchmarkFutureWorkCoarsen(b *testing.B) { benchExperiment(b, "fw-coarsen") }
-
-// BenchmarkFutureWorkMultiplex measures the counter-multiplexing cost
-// (Section VIII).
-func BenchmarkFutureWorkMultiplex(b *testing.B) { benchExperiment(b, "fw-multiplex") }
-
-// BenchmarkFutureWorkRefine splits RSBench's single region into intervals
-// (Section V-B).
-func BenchmarkFutureWorkRefine(b *testing.B) { benchExperiment(b, "fw-refine") }
-
-// BenchmarkFutureWorkISADiff quantifies cross-ISA instruction and cycle
-// ratios (Section VIII).
-func BenchmarkFutureWorkISADiff(b *testing.B) { benchExperiment(b, "fw-isadiff") }
-
-// --- substrate micro-benchmarks ---
 
 // BenchmarkNativeRunHPCG measures one full native (uninstrumented) machine
 // run of HPCG on the Intel model with 8 threads.

@@ -47,6 +47,11 @@ import (
 // headers are read.
 const readHeaderTimeout = 10 * time.Second
 
+// idleTimeout bounds how long a keep-alive connection may sit between
+// requests. It is longer than the default client transport's 90 s idle
+// timeout, so the client side normally closes an idle connection first.
+const idleTimeout = 2 * time.Minute
+
 func main() {
 	var (
 		addr      = flag.String("addr", ":8081", "listen address")
@@ -95,7 +100,7 @@ func main() {
 		})
 	}
 
-	srv := &http.Server{Handler: w.Handler(), ReadHeaderTimeout: readHeaderTimeout}
+	srv := &http.Server{Handler: w.Handler(), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 

@@ -14,7 +14,7 @@ func Dot(a, b []float64) float64 {
 	return s
 }
 
-// Accumulate writes through a caller-provided buffer — the BuildInto
+// Accumulate writes through a caller-provided buffer — the BuildSparseInto
 // idiom from internal/sigvec.
 //
 //bp:noalloc

@@ -211,30 +211,43 @@ func readEntryFile(path string) (codecName string, payload []byte, err error) {
 	if err != nil {
 		return "", nil, err
 	}
+	codecName, payload, err = decodeEntryFile(data)
+	if err != nil {
+		return "", nil, fmt.Errorf("cachestore: %s: %w", path, err)
+	}
+	return codecName, payload, nil
+}
+
+// decodeEntryFile validates the bytes of one entry file, the inverse of
+// encodeEntryFile. The returned payload aliases data.
+func decodeEntryFile(data []byte) (codecName string, payload []byte, err error) {
 	if len(data) < headerSize || string(data[:4]) != magic {
-		return "", nil, fmt.Errorf("cachestore: %s: bad magic", path)
+		return "", nil, errors.New("bad magic")
 	}
 	version := binary.LittleEndian.Uint32(data[4:8])
 	if version != FormatVersion {
-		return "", nil, fmt.Errorf("cachestore: %s: format version %d, want %d", path, version, FormatVersion)
+		return "", nil, fmt.Errorf("format version %d, want %d", version, FormatVersion)
 	}
 	nameLen := binary.LittleEndian.Uint32(data[8:12])
 	payloadLen := binary.LittleEndian.Uint64(data[12:20])
 	crc := binary.LittleEndian.Uint32(data[20:24])
 	if nameLen == 0 || nameLen > maxCodecName {
-		return "", nil, fmt.Errorf("cachestore: %s: codec name length %d out of range", path, nameLen)
+		return "", nil, fmt.Errorf("codec name length %d out of range", nameLen)
 	}
-	if uint64(len(data)) != headerSize+uint64(nameLen)+payloadLen {
-		return "", nil, fmt.Errorf("cachestore: %s: truncated (have %d bytes, header promises %d)",
-			path, len(data), headerSize+uint64(nameLen)+payloadLen)
+	// Subtract rather than add: a payload length near 2^64 would wrap the
+	// sum headerSize+nameLen+payloadLen back onto len(data).
+	nameEnd := headerSize + uint64(nameLen)
+	if have := uint64(len(data)); have < nameEnd || payloadLen != have-nameEnd {
+		return "", nil, fmt.Errorf("truncated (have %d bytes, header promises %d-byte codec name and %d-byte payload)",
+			len(data), nameLen, payloadLen)
 	}
-	codecName = string(data[headerSize : headerSize+nameLen])
+	codecName = string(data[headerSize:nameEnd])
 	if _, ok := codecNamed(codecName); !ok {
-		return "", nil, fmt.Errorf("cachestore: %s: unknown codec %q", path, codecName)
+		return "", nil, fmt.Errorf("unknown codec %q", codecName)
 	}
-	payload = data[headerSize+nameLen:]
+	payload = data[nameEnd:]
 	if crc32.Checksum(payload, crcTable) != crc {
-		return "", nil, fmt.Errorf("cachestore: %s: payload checksum mismatch", path)
+		return "", nil, errors.New("payload checksum mismatch")
 	}
 	return codecName, payload, nil
 }

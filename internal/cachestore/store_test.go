@@ -1,6 +1,7 @@
 package cachestore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"os"
@@ -235,6 +236,52 @@ func TestScanDropsStaleFormatVersion(t *testing.T) {
 	if st := s2.Stats(); st.DroppedCorrupt != 1 {
 		t.Errorf("dropped %d, want 1", st.DroppedCorrupt)
 	}
+}
+
+// wrappedHeader is a 24-byte entry file whose payload length, added to
+// the header and codec-name lengths, wraps around 2^64 back onto the file
+// size.
+func wrappedHeader() []byte {
+	data := make([]byte, headerSize)
+	copy(data[:4], magic)
+	binary.LittleEndian.PutUint32(data[4:8], FormatVersion)
+	binary.LittleEndian.PutUint32(data[8:12], 10)
+	binary.LittleEndian.PutUint64(data[12:20], 1<<64-10)
+	return data
+}
+
+// TestReadEntryFileRejectsWrappedLength: a header whose lengths only add
+// up modulo 2^64 is a truncated file, not one whose codec name is read
+// from past the end of the data.
+func TestReadEntryFileRejectsWrappedLength(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wrapped"+ext)
+	if err := os.WriteFile(path, wrappedHeader(), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err := readEntryFile(path)
+	if err == nil || !strings.Contains(err.Error(), "truncated") {
+		t.Fatalf("readEntryFile = %v, want a truncated error", err)
+	}
+}
+
+// FuzzReadEntryFile: the entry decoder must never panic, and every input
+// it accepts must be exactly what encodeEntryFile writes for the decoded
+// codec name and payload.
+func FuzzReadEntryFile(f *testing.F) {
+	valid := encodeEntryFile("test.blob", []byte("payload"))
+	f.Add(valid)
+	f.Add(encodeEntryFile("test.blobPtr", nil))
+	f.Add(valid[:len(valid)-1])
+	f.Add(wrappedHeader())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		name, payload, err := decodeEntryFile(data)
+		if err != nil {
+			return
+		}
+		if again := encodeEntryFile(name, payload); !bytes.Equal(again, data) {
+			t.Fatalf("accepted %x, re-encodes as %x", data, again)
+		}
+	})
 }
 
 // TestGetRecoversFromCorruptionUnderneath corrupts a file after the index

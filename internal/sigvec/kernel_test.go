@@ -2,17 +2,14 @@ package sigvec
 
 import (
 	"math"
-	"os"
 	"testing"
 	"testing/quick"
-
-	"barrierpoint/internal/cpu"
 )
 
-// accumulateNaive is the plain un-unrolled reference loop every kernel
-// (the 4-wide scalar unroll and the AVX2 body) must match bit-for-bit.
-// The explicit conversion keeps the product rounding before the add, the
-// same FMA barrier the real scalar kernel uses.
+// accumulateNaive is the plain un-unrolled reference loop the 4-wide
+// accumulate kernel must match bit-for-bit. The explicit conversion keeps
+// the product rounding before the add, the same FMA barrier the real
+// kernel uses.
 func accumulateNaive(out, row []float64, x float64) {
 	for j := range out {
 		out[j] += float64(x * row[j])
@@ -67,22 +64,6 @@ func sameBits(a, b []float64) (int, bool) {
 	return -1, true
 }
 
-// TestKernelReported: the dispatch label is one of the two kernels this
-// package implements, and agrees with the host probe in internal/cpu.
-func TestKernelReported(t *testing.T) {
-	k := Kernel()
-	if k != "avx2" && k != "scalar" {
-		t.Fatalf("Kernel() = %q, want avx2 or scalar", k)
-	}
-	if k == "avx2" && !cpu.Host.AVX2 {
-		t.Errorf("Kernel() = avx2 but cpu.Host.AVX2 is false")
-	}
-	if os.Getenv("BP_PUREGO") != "" && k != "scalar" {
-		t.Errorf("Kernel() = %q under BP_PUREGO, want scalar", k)
-	}
-	t.Logf("dispatching kernel: %s (host: %s)", k, cpu.KernelName())
-}
-
 // TestScalarKernelMatchesNaive: the 4-wide unrolled scalar kernel must be
 // bit-identical to the plain loop across every length class (0, tail-only,
 // exact multiples of 4, and off-by-one around them) and edge values.
@@ -97,7 +78,7 @@ func TestScalarKernelMatchesNaive(t *testing.T) {
 			fillKernelVec(row, uint64(n)*2000+xSeed)
 			xs := []float64{2.5, -1 / 3.0, kernelEdgeValues[(int(xSeed)+n)%len(kernelEdgeValues)]}
 			for _, x := range xs {
-				accumulateScalar(got, row, x)
+				accumulate(got, row, x)
 				accumulateNaive(want, row, x)
 				if j, ok := sameBits(got, want); !ok {
 					t.Fatalf("n=%d x=%g: scalar kernel diverges from naive at index %d: %x != %x",
@@ -108,10 +89,9 @@ func TestScalarKernelMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestDispatchedKernelMatchesScalar: whatever accumulate dispatches to on
-// this host must be bit-identical to the scalar reference — the live
-// equivalence gate that runs on every build (AVX2 hosts compare vector vs
-// scalar; scalar hosts compare the kernel with itself via the naive loop).
+// TestDispatchedKernelMatchesScalar: accumulate must be bit-identical to
+// the naive loop on randomly drawn lengths, accumulators and scalars, the
+// property-based complement to the exhaustive length sweep above.
 func TestDispatchedKernelMatchesScalar(t *testing.T) {
 	if err := quick.Check(func(seed uint64, nRaw uint8) bool {
 		n := int(nRaw) % 67
@@ -129,7 +109,7 @@ func TestDispatchedKernelMatchesScalar(t *testing.T) {
 		accumulateNaive(want, row, x)
 		j, ok := sameBits(got, want)
 		if !ok {
-			t.Logf("seed=%d n=%d x=%g: dispatched kernel diverges at %d: %x != %x",
+			t.Logf("seed=%d n=%d x=%g: kernel diverges at %d: %x != %x",
 				seed, n, x, j, math.Float64bits(got[j]), math.Float64bits(want[j]))
 		}
 		return ok
@@ -138,22 +118,17 @@ func TestDispatchedKernelMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestProjectionUnalignedLengths: full ProjectInto/ProjectSparseInto
-// equivalence against the reference Project across dimensions that land on
-// every lane-tail combination of the 4-wide kernels, including dims the
-// paper pipeline never uses.
+// TestProjectionUnalignedLengths: ProjectSparseInto must match the
+// reference Project across dimensions that land on every lane-tail
+// combination of the 4-wide kernel, including dims the paper pipeline
+// never uses.
 func TestProjectionUnalignedLengths(t *testing.T) {
 	for _, dim := range []int{1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 30, 31, 33} {
 		p := NewProjector(dim, uint64(dim)*31+7)
-		out := make([]float64, dim)
 		outS := make([]float64, dim)
 		for _, zeroPct := range []uint64{0, 50, 95} {
 			dense, idx, val := randVecs(uint64(dim)*100+zeroPct, 160, zeroPct)
-			p.ProjectInto(out, dense)
 			want := Project(normalizeL1(dense), dim, uint64(dim)*31+7)
-			if j, ok := sameBits(out, want); !ok {
-				t.Errorf("dim=%d zero=%d%%: ProjectInto diverges from Project at %d", dim, zeroPct, j)
-			}
 			p.ProjectSparseInto(outS, idx, val)
 			if j, ok := sameBits(outS, want); !ok {
 				t.Errorf("dim=%d zero=%d%%: ProjectSparseInto diverges at %d", dim, zeroPct, j)
@@ -162,7 +137,7 @@ func TestProjectionUnalignedLengths(t *testing.T) {
 	}
 }
 
-// FuzzAccumulateKernel: fuzz the dispatched kernel against the naive
+// FuzzAccumulateKernel: fuzz the accumulate kernel against the naive
 // reference over raw float bit patterns, so the corpus can reach NaN
 // payloads and denormals quick.Check's generator rarely produces.
 func FuzzAccumulateKernel(f *testing.F) {

@@ -13,7 +13,7 @@ import (
 // are written into caller-owned storage. One Projector serves every
 // barrier point of a run, so projecting a point allocates nothing.
 //
-// All entry points are bit-identical to Project(normalizeL1(v), dim, seed):
+// ProjectSparseInto is bit-identical to Project(normalizeL1(v), dim, seed):
 // the same normalised values are accumulated in the same index order with
 // the same final scaling. The golden-equivalence gate in internal/core
 // rests on that.
@@ -48,34 +48,17 @@ func (p *Projector) ensureRows(n int) {
 	}
 }
 
-// accumulate adds x*row into out. It dispatches to the vector kernel the
-// host supports (chosen once at init — see dispatch_amd64.go) with the
-// 4-wide unrolled scalar loop as the portable fallback. Every kernel is
-// bit-identical: the per-output-index value is round(out[j] +
-// round(x*row[j])) with lanes never mixed, so vectorising only changes
-// which indices compute concurrently, not any accumulation order.
+// accumulate adds x*row into out, 4-wide unrolled. The per-output-index
+// accumulation order is unchanged from a plain loop, so results are
+// bit-identical; the unrolling only breaks the loop-carried bookkeeping
+// dependence so the FP adds on independent lanes pipeline. The explicit
+// float64 conversions force the product to round before the add,
+// forbidding the compiler from fusing x*row[j]+out[j] into an FMA on
+// architectures where it otherwise would (arm64), so every architecture
+// produces the same signature vectors.
 //
 //bp:noalloc
 func accumulate(out, row []float64, x float64) {
-	if useSIMD {
-		accumulateSIMD(out, row, x)
-		return
-	}
-	accumulateScalar(out, row, x)
-}
-
-// accumulateScalar is the portable reference kernel, 4-wide unrolled. The
-// per-output-index accumulation order is unchanged from a plain loop, so
-// results are bit-identical; the unrolling only breaks the loop-carried
-// bookkeeping dependence so the FP adds on independent lanes pipeline.
-// The explicit float64 conversions force the product to round before the
-// add, forbidding the compiler from fusing x*row[j]+out[j] into an FMA on
-// architectures where it otherwise would (arm64): every architecture's
-// scalar fallback computes exactly what the AVX2 kernel's unfused
-// VMULPD/VADDPD pair computes.
-//
-//bp:noalloc
-func accumulateScalar(out, row []float64, x float64) {
 	n := len(out)
 	row = row[:n] // bounds-check hint
 	j := 0
@@ -90,54 +73,25 @@ func accumulateScalar(out, row []float64, x float64) {
 	}
 }
 
-// Kernel reports which accumulate kernel this process dispatches to:
-// "avx2" or "scalar". (NEON is detected by internal/cpu but has no
-// projection kernel — see dispatch_generic.go for why.)
-func Kernel() string {
-	if useSIMD {
-		return "avx2"
-	}
-	return "scalar"
-}
+// Kernel names the projection kernel, always "scalar": projection is too
+// small a share of a study to pay for a vector kernel. It exists because
+// perfbench records it in the host line of every result.
+func Kernel() string { return "scalar" }
 
-// ProjectInto writes the L1-normalised projection of dense v into out,
-// which must have length Dim. It allocates only to extend the cached
-// projection rows the first time a longer input is seen.
-//
-//bp:noalloc
-func (p *Projector) ProjectInto(out, v []float64) {
-	p.checkOut(out) //bp:lint-ok noalloc inlined panic formatting, never runs on the hot path
-	var sum float64
-	for _, x := range v {
-		sum += math.Abs(x)
-	}
-	for j := range out {
-		out[j] = 0
-	}
-	if sum != 0 {
-		p.ensureRows(len(v))
-		for i, x := range v {
-			if x == 0 {
-				continue
-			}
-			if xn := x / sum; xn != 0 {
-				accumulate(out, p.rows[i*p.dim:(i+1)*p.dim], xn)
-			}
-		}
-	}
-	for j := range out {
-		out[j] *= p.scale
-	}
-}
-
-// ProjectSparseInto is ProjectInto over an ordered sparse view: val[k] is
-// the dense entry at index idx[k], idx is ascending, omitted entries are
-// zero. Because a dense pass both sums and accumulates in index order and
-// skips zeros, consuming the sparse view directly is bit-identical.
+// ProjectSparseInto writes the L1-normalised projection of an ordered
+// sparse view into out, which must have length Dim: val[k] is the dense
+// entry at index idx[k], idx is ascending, omitted entries are zero.
+// Because Project sums and accumulates in index order and skips zeros,
+// consuming the sparse view directly is bit-identical. It allocates only
+// to extend the cached projection rows the first time a higher index is
+// seen.
 //
 //bp:noalloc
 func (p *Projector) ProjectSparseInto(out []float64, idx []int32, val []float64) {
-	p.checkOut(out) //bp:lint-ok noalloc inlined panic formatting, never runs on the hot path
+	if len(out) != p.dim {
+		//bp:lint-ok noalloc panic formatting, never runs on the hot path
+		panic(fmt.Sprintf("sigvec: output length %d, want projection dimension %d", len(out), p.dim))
+	}
 	if len(idx) != len(val) {
 		//bp:lint-ok noalloc panic formatting, never runs on the hot path
 		panic(fmt.Sprintf("sigvec: sparse view with %d indices, %d values", len(idx), len(val)))
@@ -163,12 +117,6 @@ func (p *Projector) ProjectSparseInto(out []float64, idx []int32, val []float64)
 	}
 	for j := range out {
 		out[j] *= p.scale
-	}
-}
-
-func (p *Projector) checkOut(out []float64) {
-	if len(out) != p.dim {
-		panic(fmt.Sprintf("sigvec: output length %d, want projection dimension %d", len(out), p.dim))
 	}
 }
 
@@ -227,20 +175,6 @@ func (b *Builder) split(out []float64) (bbv, ldv []float64) {
 	return bbv, ldv
 }
 
-// BuildInto writes the signature vector for dense bbv/ldv into out
-// (length Dims). Components Options disables are ignored.
-//
-//bp:noalloc
-func (b *Builder) BuildInto(out, bbv, ldv []float64) {
-	dBBV, dLDV := b.split(out)
-	if b.opts.UseBBV {
-		b.bbv.ProjectInto(dBBV, bbv)
-	}
-	if b.opts.UseLDV {
-		b.ldv.ProjectInto(dLDV, ldv)
-	}
-}
-
 // BuildSparseInto writes the signature vector for ordered sparse BBV and
 // LDV views into out. The discovery hot path feeds pin.Stream's sparse
 // views straight through here: no densification, no per-point allocation.
@@ -253,21 +187,5 @@ func (b *Builder) BuildSparseInto(out []float64, bbvIdx []int32, bbvVal []float6
 	}
 	if b.opts.UseLDV {
 		b.ldv.ProjectSparseInto(dLDV, ldvIdx, ldvVal)
-	}
-}
-
-// BuildSparseDenseInto writes the signature vector for a sparse BBV view
-// combined with a dense LDV — the jittered-discovery shape, where BBVs
-// stream from the instrumented run but LDVs are reused from the canonical
-// run's dense baseline.
-//
-//bp:noalloc
-func (b *Builder) BuildSparseDenseInto(out []float64, bbvIdx []int32, bbvVal []float64, ldv []float64) {
-	dBBV, dLDV := b.split(out)
-	if b.opts.UseBBV {
-		b.bbv.ProjectSparseInto(dBBV, bbvIdx, bbvVal)
-	}
-	if b.opts.UseLDV {
-		b.ldv.ProjectInto(dLDV, ldv)
 	}
 }

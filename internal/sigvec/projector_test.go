@@ -25,14 +25,14 @@ func randVecs(seed uint64, n int, zeroPct uint64) (dense []float64, idx []int32,
 	return dense, idx, val
 }
 
-// TestProjectorMatchesProject: the row-caching fused path must be
+// TestProjectorMatchesProject: the row-caching fused sparse path must be
 // bit-identical to the reference Project(normalizeL1(v)).
 func TestProjectorMatchesProject(t *testing.T) {
 	p := NewProjector(15, 99)
 	out := make([]float64, 15)
 	if err := quick.Check(func(seed uint64) bool {
-		dense, _, _ := randVecs(seed, 160, 70)
-		p.ProjectInto(out, dense)
+		dense, idx, val := randVecs(seed, 160, 70)
+		p.ProjectSparseInto(out, idx, val)
 		want := Project(normalizeL1(dense), 15, 99)
 		for j := range want {
 			if out[j] != want[j] {
@@ -46,15 +46,20 @@ func TestProjectorMatchesProject(t *testing.T) {
 	}
 }
 
-// TestProjectorSparseMatchesDense: consuming the ordered sparse view must
-// be bit-identical to the dense pass.
+// TestProjectorSparseMatchesDense: a view that omits the zero entries must
+// be bit-identical to one listing every dense index, zeros included, so
+// explicit zeros are skipped exactly like omitted ones.
 func TestProjectorSparseMatchesDense(t *testing.T) {
 	p := NewProjector(15, 7)
 	outD := make([]float64, 15)
 	outS := make([]float64, 15)
 	if err := quick.Check(func(seed uint64) bool {
 		dense, idx, val := randVecs(seed, 200, 85)
-		p.ProjectInto(outD, dense)
+		all := make([]int32, len(dense))
+		for i := range all {
+			all[i] = int32(i)
+		}
+		p.ProjectSparseInto(outD, all, dense)
 		p.ProjectSparseInto(outS, idx, val)
 		for j := range outD {
 			if outD[j] != outS[j] {
@@ -67,8 +72,8 @@ func TestProjectorSparseMatchesDense(t *testing.T) {
 	}
 }
 
-// TestBuilderMatchesBuild: every Builder entry point must be bit-identical
-// to the reference Build, across component selections.
+// TestBuilderMatchesBuild: BuildSparseInto must be bit-identical to the
+// reference Build, across component selections.
 func TestBuilderMatchesBuild(t *testing.T) {
 	for _, opts := range []Options{
 		DefaultOptions(3),
@@ -86,24 +91,10 @@ func TestBuilderMatchesBuild(t *testing.T) {
 				t.Logf("Dims() = %d, Build produced %d", b.Dims(), len(want))
 				return false
 			}
-			b.BuildInto(out, bbv, ldv)
-			for j := range want {
-				if out[j] != want[j] {
-					t.Logf("BuildInto mismatch at %d", j)
-					return false
-				}
-			}
 			b.BuildSparseInto(out, bIdx, bVal, lIdx, lVal)
 			for j := range want {
 				if out[j] != want[j] {
 					t.Logf("BuildSparseInto mismatch at %d", j)
-					return false
-				}
-			}
-			b.BuildSparseDenseInto(out, bIdx, bVal, ldv)
-			for j := range want {
-				if out[j] != want[j] {
-					t.Logf("BuildSparseDenseInto mismatch at %d", j)
 					return false
 				}
 			}
@@ -118,8 +109,8 @@ func TestBuilderMatchesBuild(t *testing.T) {
 func TestBuilderZeroAllocs(t *testing.T) {
 	b := NewBuilder(DefaultOptions(5))
 	out := make([]float64, b.Dims())
-	bbv, bIdx, bVal := randVecs(123, 320, 80)
-	ldv, lIdx, lVal := randVecs(456, 160, 40)
+	_, bIdx, bVal := randVecs(123, 320, 80)
+	_, lIdx, lVal := randVecs(456, 160, 40)
 	// Warm the row caches.
 	b.BuildSparseInto(out, bIdx, bVal, lIdx, lVal)
 	if n := testing.AllocsPerRun(100, func() {
@@ -127,23 +118,13 @@ func TestBuilderZeroAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("BuildSparseInto allocates %v per point, want 0", n)
 	}
-	if n := testing.AllocsPerRun(100, func() {
-		b.BuildSparseDenseInto(out, bIdx, bVal, ldv)
-	}); n != 0 {
-		t.Errorf("BuildSparseDenseInto allocates %v per point, want 0", n)
-	}
-	if n := testing.AllocsPerRun(100, func() {
-		b.BuildInto(out, bbv, ldv)
-	}); n != 0 {
-		t.Errorf("BuildInto allocates %v per point, want 0", n)
-	}
 }
 
 func TestBuilderPanicsLikeBuild(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"no components": func() { NewBuilder(Options{Dim: 4}) },
 		"bad dim":       func() { NewProjector(0, 1) },
-		"short out":     func() { NewBuilder(DefaultOptions(1)).BuildInto(make([]float64, 3), nil, nil) },
+		"short out":     func() { NewBuilder(DefaultOptions(1)).BuildSparseInto(make([]float64, 3), nil, nil, nil, nil) },
 		"ragged sparse": func() {
 			NewProjector(4, 1).ProjectSparseInto(make([]float64, 4), []int32{1}, nil)
 		},
@@ -191,18 +172,5 @@ func BenchmarkBuilderSparse(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		bld.BuildSparseInto(out, bIdx, bVal, lIdx, lVal)
-	}
-}
-
-// BenchmarkBuilderDense is the reusable Builder over dense inputs (the
-// jittered-run LDV-baseline shape).
-func BenchmarkBuilderDense(b *testing.B) {
-	bbv, ldv, _, _, _, _ := benchVecs()
-	bld := NewBuilder(DefaultOptions(3))
-	out := make([]float64, bld.Dims())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bld.BuildInto(out, bbv, ldv)
 	}
 }
