@@ -124,10 +124,12 @@ bench-smoke:
 
 # bench-json records the signature-pipeline performance trajectory: the
 # mem/pin/sigvec micro-benchmarks, the sweep-planner compile benchmark,
-# plus end-to-end discovery, parsed into BENCH_pipeline.json (fails if any benchmark fails or produces no
+# plus end-to-end discovery and the two layers its time splits between
+# (k-means clustering and a native cache-modelled run), parsed into
+# BENCH_pipeline.json (fails if any benchmark fails or produces no
 # results). Each invocation APPENDS a run entry to the trajectory, so the
-# history across PRs is preserved; see cmd/benchjson. The end-to-end
-# discovery benchmark runs in its own invocation at PIPELINE_BENCHTIME
+# history across PRs is preserved; see cmd/benchjson. The root-package
+# benchmarks run in their own invocation at PIPELINE_BENCHTIME
 # iterations (see the variable's comment); if either invocation fails,
 # benchjson sees the FAIL line and refuses to record.
 bench-json:
@@ -137,7 +139,7 @@ bench-json:
 	  $(GO) test -run '^$$' -benchmem -benchtime $(BENCHTIME) \
 		-bench 'SweepPlanner' ./internal/sched; \
 	  $(GO) test -run '^$$' -benchmem -benchtime $(PIPELINE_BENCHTIME) \
-		-bench 'DiscoveryPipeline' .; } \
+		-bench 'DiscoveryPipeline|KMeansClustering|NativeRunHPCG' .; } \
 		| $(GO) run ./cmd/benchjson -out $(BENCH_OUT)
 
 # bench-json-smoke is the ci wiring: one iteration per benchmark, just to

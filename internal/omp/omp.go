@@ -103,11 +103,13 @@ type Config struct {
 	// need basic-block execution counts, and skipping the memory system
 	// makes them an order of magnitude cheaper.
 	SkipMemory bool
-	// SkipCounters drops the per-region counter assembly: the returned
-	// RunResult has no Regions. Instrumentation-only executions
-	// (pin.Stream) set this — they consume the run entirely through
-	// Hooks and discard the result, so building a counter row per region
-	// would be allocation for nothing.
+	// SkipCounters drops everything only the counters read: the returned
+	// RunResult has no Regions, and no cache hierarchy is built, so
+	// touches go to Hooks.Touch alone (and are not generated without
+	// one). Instrumentation-only executions (pin.Stream) set this — they
+	// consume the run entirely through Hooks and discard the result, so a
+	// counter row per region and a cache model per touch would be work
+	// for nothing.
 	SkipCounters bool
 	Hooks        Hooks
 }
@@ -207,8 +209,10 @@ func Run(p *trace.Program, cfg Config) (*RunResult, error) {
 	// (warmed state would go unread), and zero prefetch stats — exactly
 	// the counters a built-but-untouched hierarchy would report. Skipping
 	// the build makes BBV-only discovery re-runs allocation-free here.
+	// SkipCounters runs have no counters to report, so nothing would read
+	// the hierarchy either.
 	var hier *mem.Hierarchy
-	if cfg.SkipMemory {
+	if cfg.SkipMemory || cfg.SkipCounters {
 		// Still reject thread counts the machine cannot map.
 		if _, _, err := cfg.Machine.Topology(cfg.Threads); err != nil {
 			return nil, err
@@ -260,14 +264,20 @@ func Run(p *trace.Program, cfg Config) (*RunResult, error) {
 	// The touch callbacks close over per-thread state that is stable
 	// across regions (&events[t] is re-zeroed in place at each region
 	// start), so one closure per thread serves every work item of the run
-	// instead of allocating one per (region, work item, thread).
+	// instead of allocating one per (region, work item, thread). Touches
+	// feed the hierarchy and the hook; with neither there is nothing to
+	// generate.
 	var touchFns []func(trace.Touch)
-	if !cfg.SkipMemory {
+	touchHook := cfg.Hooks.Touch
+	if !cfg.SkipMemory && (hier != nil || touchHook != nil) {
 		touchFns = make([]func(trace.Touch), cfg.Threads)
 		for t := 0; t < cfg.Threads; t++ {
 			t := t
+			if hier == nil {
+				touchFns[t] = func(touch trace.Touch) { touchHook(t, touch) }
+				continue
+			}
 			ev := &events[t]
-			touchHook := cfg.Hooks.Touch
 			touchFns[t] = func(touch trace.Touch) {
 				level := hier.Access(t, touch.Line)
 				if touch.Chase {
@@ -317,7 +327,7 @@ func Run(p *trace.Program, cfg Config) (*RunResult, error) {
 				if cfg.Hooks.BlockExec != nil {
 					cfg.Hooks.BlockExec(t, w.Block, n)
 				}
-				if cfg.SkipMemory {
+				if touchFns == nil {
 					continue
 				}
 				trace.EmitTouches(w, start, n, touchFns[t])

@@ -1,6 +1,7 @@
 package omp
 
 import (
+	"reflect"
 	"testing"
 
 	"barrierpoint/internal/isa"
@@ -374,6 +375,44 @@ func TestSkipMemoryPreservesBlockHooks(t *testing.T) {
 	}
 	if blocks == 0 {
 		t.Error("BlockExec hooks must still fire with SkipMemory (BBV collection)")
+	}
+}
+
+// TestSkipCountersKeepsTouchStream: a SkipCounters run builds no cache
+// model, but its Touch hook must see exactly the touches a full run's
+// does — thread, line and chase flag, in order — and it returns no
+// regions.
+func TestSkipCountersKeepsTouchStream(t *testing.T) {
+	type touchRec struct {
+		thread int
+		line   uint64
+		chase  bool
+	}
+	stream := func(skip bool) ([]touchRec, *RunResult) {
+		var got []touchRec
+		cfg := x86Config(4)
+		cfg.WarmCaches = true
+		cfg.Jitter = xrand.New(3)
+		cfg.SkipCounters = skip
+		cfg.Hooks.Touch = func(th int, touch trace.Touch) {
+			got = append(got, touchRec{th, touch.Line, touch.Chase})
+		}
+		res, err := Run(buildProgram(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got, res
+	}
+	want, full := stream(false)
+	got, skipped := stream(true)
+	if len(want) == 0 || len(full.Regions) == 0 {
+		t.Fatal("full run emitted no touches or regions")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("SkipCounters touch stream differs: %d touches, full run %d", len(got), len(want))
+	}
+	if len(skipped.Regions) != 0 {
+		t.Errorf("SkipCounters run returned %d regions", len(skipped.Regions))
 	}
 }
 

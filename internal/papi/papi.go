@@ -105,9 +105,13 @@ func CollectMultiplexed(c machine.Counters, noise machine.NoiseProfile, rng *xra
 		f := 1 / float64(groups)
 		extraCV = burstiness * math.Sqrt((1-f)/f)
 	}
-	var acc [machine.NumMetrics][]float64
-	for i := range acc {
-		acc[i] = make([]float64, 0, reps)
+	// The samples are kept metric-major (metric i's reps at
+	// [i*reps:(i+1)*reps]) in a stack buffer that covers the paper's 20
+	// repetitions; longer collections fall back to the heap.
+	var buf [machine.NumMetrics * stackReps]float64
+	acc := buf[:]
+	if reps > stackReps {
+		acc = make([]float64, int(machine.NumMetrics)*reps)
 	}
 	for r := 0; r < reps; r++ {
 		s := Sample(c, noise, rng)
@@ -117,12 +121,16 @@ func CollectMultiplexed(c machine.Counters, noise machine.NoiseProfile, rng *xra
 			}
 		}
 		for i := range s {
-			acc[i] = append(acc[i], s[i])
+			acc[i*reps+r] = s[i]
 		}
 	}
 	var out Measurement
 	for i := range out {
-		out[i] = stats.Summarize(acc[i])
+		out[i] = stats.Summarize(acc[i*reps : (i+1)*reps])
 	}
 	return out
 }
+
+// stackReps is the largest repetition count CollectMultiplexed keeps on
+// the stack.
+const stackReps = 32

@@ -161,3 +161,18 @@ func TestMultiplexGroupsFloor(t *testing.T) {
 		t.Error("1 group + zero noise must be exact")
 	}
 }
+
+// TestCollectMultiplexedAllocFree: at the paper's 20 repetitions the
+// samples stay on the stack, multiplexed or not.
+func TestCollectMultiplexedAllocFree(t *testing.T) {
+	noise := machine.IntelI7().Noise
+	rng := xrand.New(23)
+	truth := machine.Counters{1e8, 2e8, 1e5, 1e4}
+	for _, groups := range []int{1, 4} {
+		if n := testing.AllocsPerRun(20, func() {
+			CollectMultiplexed(truth, noise, rng, 20, groups)
+		}); n != 0 {
+			t.Errorf("groups=%d: %v allocations per collection, want 0", groups, n)
+		}
+	}
+}

@@ -70,11 +70,13 @@ func TestScratchReuseBitIdentical(t *testing.T) {
 		n, dim       int
 		phases, maxK int
 	}{
-		{1, 60, 30, 4, 8},  // typical study
-		{2, 9, 6, 3, 20},   // maxK clamped to n
-		{3, 120, 15, 2, 6}, // bigger n after smaller: forces regrow
-		{4, 25, 30, 5, 8},  // smaller again: stale tail cells present
-		{5, 25, 30, 5, 8},  // same shape, different data
+		{1, 60, 30, 4, 8},     // typical study
+		{2, 9, 6, 3, 20},      // maxK clamped to n
+		{3, 120, 15, 2, 6},    // bigger n after smaller: forces regrow
+		{4, 25, 30, 5, 8},     // smaller again: stale tail cells present
+		{5, 25, 30, 5, 8},     // same shape, different data
+		{6, 1500, 30, 11, 20}, // large n*maxK: every pruning bound in use
+		{7, 40, 30, 6, 5},     // small after it: stale bounds and centroid distances
 	}
 	reused := NewScratch()
 	for _, st := range studies {

@@ -107,6 +107,19 @@ type Scratch struct {
 	counts  []int     // per-cluster member counts, k
 	minDist []float64 // k-means++ seeding state, n
 
+	// Distance-pruning state of the current k-means run (see
+	// kmeansOnce): per point an upper bound on the distance to its
+	// centroid (n) and a lower bound per centroid (n*k); half the
+	// distance between every centroid pair (k*k) and from each centroid
+	// to its nearest other one (k); each centroid's last shift (k) and
+	// its position before the update (k*dim).
+	upper    []float64
+	lower    []float64
+	half     []float64
+	halfNear []float64
+	shift    []float64
+	prev     []float64
+
 	// Best candidate per k, kept across restarts. candAssign row k-1 is
 	// that k's assignment; candCent packs the k*dim centroid blocks
 	// back-to-back (offset dim*k*(k-1)/2); candBIC[k-1] is its score.
@@ -137,6 +150,12 @@ func (s *Scratch) grow(n, dim, maxK int) {
 	s.assign = growInts(s.assign, n)
 	s.counts = growInts(s.counts, maxK)
 	s.minDist = growFloats(s.minDist, n)
+	s.upper = growFloats(s.upper, n)
+	s.lower = growFloats(s.lower, n*maxK)
+	s.half = growFloats(s.half, maxK*maxK)
+	s.halfNear = growFloats(s.halfNear, maxK)
+	s.shift = growFloats(s.shift, maxK)
+	s.prev = growFloats(s.prev, maxK*dim)
 	s.candAssign = growInts(s.candAssign, maxK*n)
 	s.candCent = growFloats(s.candCent, dim*maxK*(maxK+1)/2)
 	s.candBIC = growFloats(s.candBIC, maxK)
@@ -148,25 +167,97 @@ func candCentOff(k, dim int) int { return dim * (k * (k - 1) / 2) }
 
 var scratchPool = sync.Pool{New: func() any { return &Scratch{} }}
 
+// prunes reports whether a distance known to be at least lo is provably
+// larger than one known to be at most u, with the rounding slack tol on
+// both sides. Equality never prunes.
+//
+//bp:noalloc
+func prunes(u, lo, tol float64) bool { return u+tol < lo-tol }
+
+// pruneSlack is the absolute slack prunes demands when every distance
+// the bounds involve is at most scale (see kmeansOnce). Above 1e150 the
+// squares could overflow and pruning is off; the 1e-150 floor covers
+// squares that fall to subnormals, whose rounding error is absolute
+// rather than relative.
+//
+//bp:noalloc
+func pruneSlack(scale float64) float64 {
+	if !(scale <= 1e150) {
+		return math.Inf(1)
+	}
+	return 1e-9*scale + 1e-150
+}
+
 // kmeansOnce runs one seeded k-means++ / Lloyd pass into s.assign and
 // s.cent[:k*dim] and returns the distortion (sum of squared distances).
+//
+// The result is bit-identical to plain Lloyd iterations (the oracle in
+// simpoint_test.go): the same assignments with the lowest-index
+// tie-break, the same centroids and the same rng draws. Distances that
+// provably cannot change an assignment are skipped by the triangle
+// inequality (Elkan, ICML 2003):
+//
+//   - Seeding is the first Lloyd pass. k-means++ keeps each point's
+//     running minimum over the same sqDist values, compared with the same
+//     strict < in seed order, so its nearest-seed index is exactly that
+//     pass's assignment.
+//   - A new seed c is skipped for point i when c lies more than twice
+//     √minDist[i] from i's nearest seed: then minDist[i] cannot drop, and
+//     d(c, seed) − √minDist[i] is kept as a lower bound instead.
+//   - Later passes keep, per point, an upper bound u on the distance to
+//     its centroid a and a lower bound l[c] on the distance to every
+//     centroid, both moved by each centroid's shift after an update. A
+//     point is skipped when u is below half the distance from a to its
+//     nearest other centroid, a centroid c when u < l[c] or
+//     u < d(a,c)/2. Every other centroid gets the exact sqDist, compared
+//     in (distance, index) order starting from a.
+//
+// Rounding: a skip needs the bounds apart by 2·tol, never equal, so a
+// skipped centroid's computed sqDist is strictly larger than the kept
+// one's and could not have won even a tie. Every distance the bounds
+// involve is at most scale: twice the largest distance from the first
+// seed to a point or (after updates) to a centroid. sqDist's relative
+// error is about dim·2⁻⁵³ and every sqrt, halving and bound update adds
+// a few 2⁻⁵³·scale (upper bounds only grow while skipped, lower bounds
+// are clamped at zero), so after any number of iterations far below
+// 10⁶ the error in a bound stays well under tol = 1e-9·scale. Vectors
+// are assumed finite.
+//
 // Stale scratch contents never leak into the result: seeding overwrites
-// cent and minDist, the first Lloyd iteration overwrites every assign
-// cell before the update step reads it, and counts are zeroed before
+// cent, minDist, assign and every bound, the centroid distances are
+// recomputed after each update, and counts are zeroed before
 // accumulation.
 //
 //bp:noalloc
 func (s *Scratch) kmeansOnce(points []Point, k, dim int, rng *xrand.Rand, maxIter int) float64 {
 	n := len(points)
 	cent := s.cent[:k*dim]
+	prev := s.prev[:k*dim]
+	assign := s.assign[:n]
+	counts := s.counts[:k]
+	minDist := s.minDist[:n]
+	upper := s.upper[:n]
+	lower := s.lower[:n*k] // point i's bounds at [i*k:(i+1)*k]
+	half := s.half[:k*k]   // half the distance between centroids c and o at c*k+o
+	halfNear := s.halfNear[:k]
+	shift := s.shift[:k]
 
 	// k-means++ seeding.
 	first := rng.Intn(n)
-	copy(cent[:dim], points[first].Vec)
-	minDist := s.minDist[:n]
+	p0 := points[first].Vec
+	copy(cent[:dim], p0)
+	var maxD float64
 	for i := range minDist {
-		minDist[i] = sqDist(points[i].Vec, cent[:dim])
+		d := sqDist(points[i].Vec, cent[:dim])
+		minDist[i], assign[i] = d, 0
+		upper[i] = math.Sqrt(d)
+		lower[i*k] = upper[i]
+		if d > maxD {
+			maxD = d
+		}
 	}
+	scale := 2 * math.Sqrt(maxD)
+	tol := pruneSlack(scale)
 	for nc := 1; nc < k; nc++ {
 		var total float64
 		for _, d := range minDist {
@@ -189,32 +280,97 @@ func (s *Scratch) kmeansOnce(points []Point, k, dim int, rng *xrand.Rand, maxIte
 		}
 		c := cent[nc*dim : (nc+1)*dim]
 		copy(c, points[next].Vec)
+		for j := 0; j < nc; j++ {
+			half[j] = math.Sqrt(sqDist(cent[j*dim:(j+1)*dim], c)) / 2
+		}
 		for i := range minDist {
-			if d := sqDist(points[i].Vec, c); d < minDist[i] {
-				minDist[i] = d
+			u, h := upper[i], half[assign[i]]
+			if prunes(u, h, tol) {
+				lower[i*k+nc] = 2*h - u
+				continue
+			}
+			d := sqDist(points[i].Vec, c)
+			lower[i*k+nc] = math.Sqrt(d)
+			if d < minDist[i] {
+				minDist[i], upper[i], assign[i] = d, lower[i*k+nc], nc
 			}
 		}
 	}
 
-	assign := s.assign[:n]
-	counts := s.counts[:k]
 	for iter := 0; iter < maxIter; iter++ {
-		changed := false
-		for i := range points {
-			best, bestD := 0, math.Inf(1)
+		if iter > 0 {
 			for c := 0; c < k; c++ {
-				if d := sqDist(points[i].Vec, cent[c*dim:(c+1)*dim]); d < bestD {
-					best, bestD = c, d
+				row := cent[c*dim : (c+1)*dim]
+				shift[c] = math.Sqrt(sqDist(prev[c*dim:(c+1)*dim], row))
+				if r := 2 * math.Sqrt(sqDist(p0, row)); r > scale {
+					scale = r
+				}
+				halfNear[c] = math.Inf(1)
+			}
+			tol = pruneSlack(scale)
+			for i, a := range assign {
+				upper[i] += shift[a]
+				lo := lower[i*k : (i+1)*k]
+				for c, sh := range shift {
+					if v := lo[c] - sh; v > 0 {
+						lo[c] = v
+					} else {
+						lo[c] = 0
+					}
 				}
 			}
-			if assign[i] != best || iter == 0 {
-				changed = changed || assign[i] != best
-				assign[i] = best
+			for c := 0; c < k; c++ {
+				for o := c + 1; o < k; o++ {
+					h := math.Sqrt(sqDist(cent[c*dim:(c+1)*dim], cent[o*dim:(o+1)*dim])) / 2
+					half[c*k+o], half[o*k+c] = h, h
+					if h < halfNear[c] {
+						halfNear[c] = h
+					}
+					if h < halfNear[o] {
+						halfNear[o] = h
+					}
+				}
+			}
+
+			changed := false
+			for i, a := range assign {
+				u := upper[i]
+				if prunes(u, halfNear[a], tol) {
+					continue
+				}
+				x := points[i].Vec
+				lo := lower[i*k : (i+1)*k]
+				best, bestD, tight := a, 0.0, false
+				for c := 0; c < k; c++ {
+					if c == a || prunes(u, lo[c], tol) || prunes(u, half[best*k+c], tol) {
+						continue
+					}
+					if !tight {
+						// best is still a: make u exact and test again.
+						bestD = sqDist(x, cent[a*dim:(a+1)*dim])
+						u, tight = math.Sqrt(bestD), true
+						lo[a] = u
+						if prunes(u, lo[c], tol) || prunes(u, half[a*k+c], tol) {
+							continue
+						}
+					}
+					d := sqDist(x, cent[c*dim:(c+1)*dim])
+					lo[c] = math.Sqrt(d)
+					if d < bestD || d == bestD && c < best {
+						best, bestD, u = c, d, lo[c]
+					}
+				}
+				upper[i] = u
+				if best != a {
+					assign[i] = best
+					changed = true
+				}
+			}
+			if !changed {
+				break
 			}
 		}
-		if iter > 0 && !changed {
-			break
-		}
+		copy(prev, cent)
 		for c := 0; c < k; c++ {
 			for j := c * dim; j < (c+1)*dim; j++ {
 				cent[j] = 0

@@ -257,3 +257,184 @@ func TestSqDistMatchesSerialSum(t *testing.T) {
 		}
 	}
 }
+
+// kmeansLloyd is the plain k-means++ / Lloyd loop kmeansOnce replaced,
+// kept verbatim as the oracle its pruning is checked against: every
+// distance computed, the lowest-index tie-break by strict < in index
+// order. It uses s.cent, s.minDist, s.assign and s.counts like
+// kmeansOnce and returns the distortion.
+func (s *Scratch) kmeansLloyd(points []Point, k, dim int, rng *xrand.Rand, maxIter int) float64 {
+	n := len(points)
+	cent := s.cent[:k*dim]
+
+	// k-means++ seeding.
+	first := rng.Intn(n)
+	copy(cent[:dim], points[first].Vec)
+	minDist := s.minDist[:n]
+	for i := range minDist {
+		minDist[i] = sqDist(points[i].Vec, cent[:dim])
+	}
+	for nc := 1; nc < k; nc++ {
+		var total float64
+		for _, d := range minDist {
+			total += d
+		}
+		var next int
+		if total <= 0 {
+			next = rng.Intn(n)
+		} else {
+			r := rng.Float64() * total
+			acc := 0.0
+			next = n - 1
+			for i, d := range minDist {
+				acc += d
+				if acc >= r {
+					next = i
+					break
+				}
+			}
+		}
+		c := cent[nc*dim : (nc+1)*dim]
+		copy(c, points[next].Vec)
+		for i := range minDist {
+			if d := sqDist(points[i].Vec, c); d < minDist[i] {
+				minDist[i] = d
+			}
+		}
+	}
+
+	assign := s.assign[:n]
+	counts := s.counts[:k]
+	for iter := 0; iter < maxIter; iter++ {
+		changed := false
+		for i := range points {
+			best, bestD := 0, math.Inf(1)
+			for c := 0; c < k; c++ {
+				if d := sqDist(points[i].Vec, cent[c*dim:(c+1)*dim]); d < bestD {
+					best, bestD = c, d
+				}
+			}
+			if assign[i] != best || iter == 0 {
+				changed = changed || assign[i] != best
+				assign[i] = best
+			}
+		}
+		if iter > 0 && !changed {
+			break
+		}
+		for c := 0; c < k; c++ {
+			for j := c * dim; j < (c+1)*dim; j++ {
+				cent[j] = 0
+			}
+			counts[c] = 0
+		}
+		for i, a := range assign {
+			counts[a]++
+			row := cent[a*dim : (a+1)*dim]
+			for j, v := range points[i].Vec {
+				row[j] += v
+			}
+		}
+		for c := 0; c < k; c++ {
+			if counts[c] == 0 {
+				// Re-seed an empty cluster on the farthest point.
+				far, farD := 0, -1.0
+				for i := range points {
+					if d := sqDist(points[i].Vec, cent[assign[i]*dim:(assign[i]+1)*dim]); d > farD {
+						far, farD = i, d
+					}
+				}
+				copy(cent[c*dim:(c+1)*dim], points[far].Vec)
+				continue
+			}
+			inv := 1 / float64(counts[c])
+			for j := c * dim; j < (c+1)*dim; j++ {
+				cent[j] *= inv
+			}
+		}
+	}
+	var distortion float64
+	for i, a := range assign {
+		distortion += sqDist(points[i].Vec, cent[a*dim:(a+1)*dim])
+	}
+	return distortion
+}
+
+// checkKMeansExact runs kmeansOnce and the kmeansLloyd oracle on the same
+// input and rng seed and requires the assignment, the centroid bits, the
+// distortion bits and the rng position afterwards to match.
+func checkKMeansExact(t *testing.T, pts []Point, k, maxIter int, seed uint64) {
+	t.Helper()
+	n, dim := len(pts), len(pts[0].Vec)
+	want, got := NewScratch(), NewScratch()
+	want.grow(n, dim, k)
+	got.grow(n, dim, k)
+	wantRng, gotRng := xrand.New(seed), xrand.New(seed)
+	wantD := want.kmeansLloyd(pts, k, dim, wantRng, maxIter)
+	gotD := got.kmeansOnce(pts, k, dim, gotRng, maxIter)
+	for i := 0; i < n; i++ {
+		if got.assign[i] != want.assign[i] {
+			t.Fatalf("n=%d k=%d: point %d assigned %d, oracle %d", n, k, i, got.assign[i], want.assign[i])
+		}
+	}
+	for j := 0; j < k*dim; j++ {
+		if math.Float64bits(got.cent[j]) != math.Float64bits(want.cent[j]) {
+			t.Fatalf("n=%d k=%d: centroid cell %d = %v, oracle %v", n, k, j, got.cent[j], want.cent[j])
+		}
+	}
+	if math.Float64bits(gotD) != math.Float64bits(wantD) {
+		t.Fatalf("n=%d k=%d: distortion %v, oracle %v", n, k, gotD, wantD)
+	}
+	if gotRng.Uint64() != wantRng.Uint64() {
+		t.Fatalf("n=%d k=%d: rng stream diverged from the oracle", n, k)
+	}
+}
+
+// TestKMeansExactOnDigestCases holds every k-means run behind the frozen
+// digests to the oracle, not only each k's winning restart.
+func TestKMeansExactOnDigestCases(t *testing.T) {
+	for _, tc := range digestCases() {
+		maxK := tc.cfg.MaxK
+		if maxK > len(tc.pts) {
+			maxK = len(tc.pts)
+		}
+		for k := 1; k <= maxK; k++ {
+			checkKMeansExact(t, tc.pts, k, tc.cfg.MaxIterations, tc.cfg.Seed+uint64(k))
+		}
+	}
+}
+
+// FuzzKMeansExact draws small point sets on an integer grid — many
+// duplicates, many points equidistant from two centroids — and requires
+// kmeansOnce to reproduce the oracle exactly.
+func FuzzKMeansExact(f *testing.F) {
+	f.Add(uint64(1), uint8(20), uint8(2), uint8(4), uint8(99), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add(uint64(2), uint8(47), uint8(1), uint8(9), uint8(99), []byte{0, 0, 1, 2, 2, 2, 4})
+	f.Add(uint64(3), uint8(30), uint8(3), uint8(7), uint8(2), []byte{3, 3, 3, 3, 200, 3, 3})
+	f.Add(uint64(4), uint8(12), uint8(4), uint8(11), uint8(0), []byte{})
+	f.Add(uint64(5), uint8(40), uint8(2), uint8(5), uint8(7), []byte{1, 5, 9, 13, 2, 6, 10, 14, 77, 140})
+	f.Add(uint64(6), uint8(3), uint8(0), uint8(2), uint8(50), []byte{6, 0})
+	f.Fuzz(func(t *testing.T, seed uint64, nRaw, dimRaw, kRaw, iterRaw uint8, coords []byte) {
+		n := 1 + int(nRaw)%48
+		dim := 1 + int(dimRaw)%5
+		k := 1 + int(kRaw)%n
+		if k > 12 {
+			k = 12
+		}
+		maxIter := 1 + int(iterRaw)%100
+		scale := [...]float64{1, 0.1, 1e-7, 3e5}[seed%4]
+		pts := make([]Point, n)
+		for i := range pts {
+			v := make([]float64, dim)
+			for j := range v {
+				var b byte
+				if len(coords) > 0 {
+					b = coords[(i*dim+j)%len(coords)]
+				}
+				v[j] = float64(int(b%7)-3) * scale
+			}
+			pts[i] = Point{Vec: v, Weight: 1}
+		}
+		checkKMeansExact(t, pts, k, maxIter, seed)
+	})
+}
