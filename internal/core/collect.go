@@ -117,10 +117,11 @@ func Collect(build ProgramBuilder, cfg CollectConfig) (*Collection, error) {
 	for i, reg := range res.Regions {
 		col.PerBP[i] = make([]machine.Counters, cfg.Threads)
 		col.PerBPStd[i] = make([]machine.Counters, cfg.Threads)
-		col.TruePerBP[i] = make([]machine.Counters, cfg.Threads)
+		// The run's rows are full-capacity slices nothing else holds, so
+		// the collection keeps them instead of a copy.
+		col.TruePerBP[i] = reg.PerThread
 		for t := 0; t < cfg.Threads; t++ {
 			truth := reg.PerThread[t]
-			col.TruePerBP[i][t] = truth
 			instrumented := papi.ApplyOverhead(truth, papi.ReadsPerBarrierPoint, ov)
 			m := papi.CollectMultiplexed(instrumented, mach.Noise, rng, cfg.Reps, cfg.MultiplexGroups)
 			for k := range col.PerBP[i][t] {

@@ -93,8 +93,8 @@ func sqDist(a, b []float64) float64 {
 }
 
 // Scratch is the reusable working set for Cluster: Lloyd-iteration state
-// and the per-k best-candidate store, all in flat one-slice backings
-// (centroid c of a k-clustering lives at [c*dim:(c+1)*dim] of its block).
+// and the per-k best-restart record, all in flat one-slice backings
+// (centroid c lives at [c*dim:(c+1)*dim]).
 // A Scratch may be reused across studies of any size — grow reslices when
 // capacity suffices and every cell is overwritten before it is read, so a
 // reused Scratch produces bit-identical results to a fresh one (the
@@ -120,50 +120,36 @@ type Scratch struct {
 	shift    []float64
 	prev     []float64
 
-	// Best candidate per k, kept across restarts. candAssign row k-1 is
-	// that k's assignment; candCent packs the k*dim centroid blocks
-	// back-to-back (offset dim*k*(k-1)/2); candBIC[k-1] is its score.
-	candAssign []int
-	candCent   []float64
-	candBIC    []float64
+	// Best restart per k: candBIC[k-1] is its score and candRng[k-1] the
+	// rng state it started from, which replays it (see ClusterWith).
+	candBIC []float64
+	candRng []xrand.Rand
 }
 
 // NewScratch returns an empty Scratch; ClusterWith sizes it on first use.
 func NewScratch() *Scratch { return &Scratch{} }
 
-func growFloats(s []float64, n int) []float64 {
+func growSlice[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-func growInts(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }
 
 func (s *Scratch) grow(n, dim, maxK int) {
-	s.cent = growFloats(s.cent, maxK*dim)
-	s.assign = growInts(s.assign, n)
-	s.counts = growInts(s.counts, maxK)
-	s.minDist = growFloats(s.minDist, n)
-	s.upper = growFloats(s.upper, n)
-	s.lower = growFloats(s.lower, n*maxK)
-	s.half = growFloats(s.half, maxK*maxK)
-	s.halfNear = growFloats(s.halfNear, maxK)
-	s.shift = growFloats(s.shift, maxK)
-	s.prev = growFloats(s.prev, maxK*dim)
-	s.candAssign = growInts(s.candAssign, maxK*n)
-	s.candCent = growFloats(s.candCent, dim*maxK*(maxK+1)/2)
-	s.candBIC = growFloats(s.candBIC, maxK)
+	s.cent = growSlice(s.cent, maxK*dim)
+	s.assign = growSlice(s.assign, n)
+	s.counts = growSlice(s.counts, maxK)
+	s.minDist = growSlice(s.minDist, n)
+	s.upper = growSlice(s.upper, n)
+	s.lower = growSlice(s.lower, n*maxK)
+	s.half = growSlice(s.half, maxK*maxK)
+	s.halfNear = growSlice(s.halfNear, maxK)
+	s.shift = growSlice(s.shift, maxK)
+	s.prev = growSlice(s.prev, maxK*dim)
+	s.candBIC = growSlice(s.candBIC, maxK)
+	s.candRng = growSlice(s.candRng, maxK)
 }
-
-// candCentOff is the offset of k's centroid block in candCent: blocks for
-// 1..k-1 clusters precede it, dim*(1+2+...+(k-1)) floats.
-func candCentOff(k, dim int) int { return dim * (k * (k - 1) / 2) }
 
 var scratchPool = sync.Pool{New: func() any { return &Scratch{} }}
 
@@ -280,6 +266,7 @@ func (s *Scratch) kmeansOnce(points []Point, k, dim int, rng *xrand.Rand, maxIte
 		}
 		c := cent[nc*dim : (nc+1)*dim]
 		copy(c, points[next].Vec)
+		// While seeding, half[j] is half the distance from seed j to c.
 		for j := 0; j < nc; j++ {
 			half[j] = math.Sqrt(sqDist(cent[j*dim:(j+1)*dim], c)) / 2
 		}
@@ -500,14 +487,13 @@ func ClusterWith(points []Point, cfg Config, s *Scratch) (*Result, error) {
 	for k := 1; k <= maxK; k++ {
 		bestSet := false
 		for r := 0; r < cfg.Restarts; r++ {
+			start := *rng
 			distortion := s.kmeansOnce(points, k, dim, rng, cfg.MaxIterations)
 			score := bic(points, s.assign[:n], k, dim, distortion, s.counts)
 			if !bestSet || score > s.candBIC[k-1] {
 				bestSet = true
 				s.candBIC[k-1] = score
-				copy(s.candAssign[(k-1)*n:k*n], s.assign[:n])
-				off := candCentOff(k, dim)
-				copy(s.candCent[off:off+k*dim], s.cent[:k*dim])
+				s.candRng[k-1] = start
 			}
 		}
 	}
@@ -526,11 +512,12 @@ func ClusterWith(points []Point, cfg Config, s *Scratch) (*Result, error) {
 			break
 		}
 	}
-	off := candCentOff(chosen, dim)
-	return buildResult(points, chosen, dim,
-		s.candAssign[(chosen-1)*n:chosen*n],
-		s.candCent[off:off+chosen*dim],
-		s.candBIC[chosen-1]), nil
+	// kmeansOnce is a function of its inputs and the rng state alone, so
+	// replaying the chosen restart from its saved state reproduces its
+	// assignment and centroids; storing every k's would hold maxK*n ints.
+	replay := s.candRng[chosen-1]
+	s.kmeansOnce(points, chosen, dim, &replay, cfg.MaxIterations)
+	return buildResult(points, chosen, dim, s.assign[:n], s.cent[:chosen*dim], s.candBIC[chosen-1]), nil
 }
 
 // scoreReaches implements SimPoint's "within threshold of the best BIC"
