@@ -117,7 +117,7 @@ func Collect(build ProgramBuilder, cfg CollectConfig) (*Collection, error) {
 	for i, reg := range res.Regions {
 		col.PerBP[i] = make([]machine.Counters, cfg.Threads)
 		col.PerBPStd[i] = make([]machine.Counters, cfg.Threads)
-		// The run's rows are full-capacity slices nothing else holds, so
+		// The run's rows are capacity-limited slices nothing else holds, so
 		// the collection keeps them instead of a copy.
 		col.TruePerBP[i] = reg.PerThread
 		for t := 0; t < cfg.Threads; t++ {

@@ -94,13 +94,12 @@ func sqDist(a, b []float64) float64 {
 
 // Scratch is the reusable working set for Cluster: Lloyd-iteration state
 // and the per-k best-restart record, all in flat one-slice backings
-// (centroid c lives at [c*dim:(c+1)*dim]).
-// A Scratch may be reused across studies of any size — grow reslices when
-// capacity suffices and every cell is overwritten before it is read, so a
-// reused Scratch produces bit-identical results to a fresh one (the
-// property test in scratch_test.go holds this). A Scratch is not safe for
-// concurrent use; Cluster draws from an internal pool, ClusterWith takes
-// an explicit one.
+// (centroid c lives at [c*dim:(c+1)*dim]). A Scratch may be reused
+// across studies of any size — grow reslices when capacity suffices and
+// every cell is overwritten before it is read, so a reused Scratch
+// produces bit-identical results to a fresh one (the property test in
+// scratch_test.go holds this). A Scratch is not safe for concurrent use;
+// Cluster draws from an internal pool, ClusterWith takes an explicit one.
 type Scratch struct {
 	cent    []float64 // working centroids, k*dim, for the current k-means run
 	assign  []int     // working assignment, n
@@ -286,6 +285,8 @@ func (s *Scratch) kmeansOnce(points []Point, k, dim int, rng *xrand.Rand, maxIte
 
 	for iter := 0; iter < maxIter; iter++ {
 		if iter > 0 {
+			// Move the bounds by how far each centroid moved in the
+			// update, then measure the new centroid separations.
 			for c := 0; c < k; c++ {
 				row := cent[c*dim : (c+1)*dim]
 				shift[c] = math.Sqrt(sqDist(prev[c*dim:(c+1)*dim], row))
@@ -319,6 +320,7 @@ func (s *Scratch) kmeansOnce(points []Point, k, dim int, rng *xrand.Rand, maxIte
 				}
 			}
 
+			// Assignment pass over the centroids the bounds cannot rule out.
 			changed := false
 			for i, a := range assign {
 				u := upper[i]
